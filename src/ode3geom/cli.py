@@ -232,6 +232,24 @@ def run_report(text: str, cfg: ZeroConfig, group: str = "both",
     return report, code
 
 
+# Options whose value is an expression or a point and may start with "-".
+# argparse would take "-2*y*q+3*p^2" for an option unless it is attached.
+_VALUE_OPTIONS = ("--ode", "-o", "--chi", "--phi", "--base")
+
+
+def _attach_values(argv: list) -> list:
+    """Rewrite `--ode V` as `--ode=V`, so V is always the value."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in _VALUE_OPTIONS:
+            value = next(tokens, None)
+            if value is not None:
+                tok = f"{tok}={value}"
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ode3geom",
@@ -276,7 +294,8 @@ def main(argv=None) -> int:
     p_rep = sub.add_parser("report", help="full pipeline report")
     common(p_rep)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_values(sys.argv[1:] if argv is None else argv))
     try:
         file_opts = load_config_file(args.config) if args.config else {}
         cfg = build_config(args, file_opts)

@@ -98,14 +98,6 @@ def _intern_atom(kind, key, payload) -> int:
     return aid
 
 
-def atom_kind(aid: int) -> str:
-    return _atom_payload[aid][0]
-
-
-def atom_payload(aid: int):
-    return _atom_payload[aid][1]
-
-
 def var_atom(name: str) -> int:
     return _intern_atom(VAR, name, name)
 
@@ -163,24 +155,10 @@ def mono_key(a: tuple):
     return tuple((aid, _exp_num(e), _exp_den(e)) for aid, e in a)
 
 
-def mono_gcd(a: tuple, b: tuple) -> tuple:
-    db = dict(b)
-    out = {}
-    for aid, e in a:
-        eb = db.get(aid)
-        if eb is not None:
-            out[aid] = min(e, eb)
-    return tuple(sorted(out.items()))
-
-
 # -------------------------------------------------------------- polynomials
 
 # A polynomial is a dict {monomial: coeff}, zero coefficients removed.
 # Coefficients are ints in canonical polys; Fractions may appear transiently.
-
-
-def poly_const(c: Coeff) -> dict:
-    return {MONE: c} if c else {}
 
 
 P_ONE = {MONE: 1}
@@ -326,11 +304,24 @@ def poly_mono_content(a: dict) -> tuple:
 _DIV_GUARD = 20000
 
 
+class _DivisionUndecided(Exception):
+    """poly_div_exact ran past _DIV_GUARD reduction steps without deciding."""
+
+
 def poly_div_exact(a: dict, b: dict) -> Optional[dict]:
-    """Exact division a/b over the rationals, or None.  b nonzero.
+    """Exact division a/b over the rationals, or None when b does not
+    divide a.  b nonzero.  Raises _DivisionUndecided when the reduction runs
+    past _DIV_GUARD steps.
 
     Uses a lexicographic order over the joint atom universe (a genuine
     monomial order), so reduction strictly decreases the lead term.
+    Necessary conditions reject many non-divisors early (Monagan & Pearce,
+    J. Symb. Comp. 46, 2011).  a = q*b makes lead(a) = lead(q)*lead(b),
+    which the first step tests, and trail(a) = trail(q)*trail(b), tested
+    before the heap is built.  When a has integer coefficients and b is a
+    primitive integer polynomial, Gauss's lemma puts q in Z[...] too, so
+    tc(b) must divide tc(a) and the first fractional quotient coefficient
+    (lc(a)/lc(b) at the first step) ends the division.
     """
     if not a:
         return {}
@@ -359,18 +350,28 @@ def poly_div_exact(a: dict, b: dict) -> Optional[dict]:
             v[uidx[aid]] = -e          # negated: min-heap pops the lead
         return tuple(v)
 
-    lead_b = min(b, key=vec)
+    vb = [(vec(m), m) for m in b]
+    lead_b_v, lead_b = min(vb)
+    trail_b_v, trail_b = max(vb)
     cb = b[lead_b]
-    lead_b_v = vec(lead_b)
-    rem = dict(a)
-    heap = [(vec(m), m) for m in rem]
+    heap = [(vec(m), m) for m in a]
+    trail_a_v, trail_a = max(heap)
+    for x, y in zip(trail_a_v, trail_b_v):
+        if x > y:
+            return None
+    ints = (all(type(c) is int for c in a.values())
+            and all(type(c) is int for c in b.values())
+            and math.gcd(*b.values()) == 1)
+    if ints and a[trail_a] % b[trail_b]:
+        return None
     heapq.heapify(heap)
+    rem = dict(a)
     quo: dict = {}
     guard = 0
     while rem:
         guard += 1
         if guard > _DIV_GUARD:
-            return None
+            raise _DivisionUndecided
         lead_r = None
         while heap:
             v, m = heapq.heappop(heap)
@@ -386,6 +387,8 @@ def poly_div_exact(a: dict, b: dict) -> Optional[dict]:
         qm = tuple((universe[i], _exp_norm(x))
                    for i, x in enumerate(qv) if x)
         qc = _frac_c(rem[lead_r], cb)
+        if ints and type(qc) is not int:
+            return None
         quo[qm] = qc
         for mb2, cb2 in b.items():
             mm = mono_mul(qm, mb2)
@@ -799,23 +802,33 @@ def _make(c: Fraction, num: dict, den: tuple) -> "RF":
         if inv:
             num = poly_mul(num, {tuple(inv): 1})
     den = tuple(sorted(out_den))
-    # cancel multi-term factors by exact division
+    # cancel multi-term factors by exact division.  One pass suffices: a
+    # factor that does not divide num divides no quotient num/g either.
+    # Only a division cut off by the step guard is undecided; the pass is
+    # repeated while such a division remains and other factors divided num.
+    # Single-term factors are skipped: each is an atom power left over after
+    # the step above took all of num's content in that atom.
     if den and len(num) <= _CANCEL_NUM_CAP and not poly_is_const(num):
-        changed = True
-        while changed and not poly_is_const(num):
-            changed = False
+        again = True
+        while again:
+            undecided = divided = False
             new_den = []
             for k, f, e in den:
-                while e > 0 and not poly_is_const(num):
-                    q = poly_div_exact(num, f)
+                while e > 0 and len(f) > 1 and not poly_is_const(num):
+                    try:
+                        q = poly_div_exact(num, f)
+                    except _DivisionUndecided:
+                        undecided = True
+                        break
                     if q is None:
                         break
                     num = q
                     e -= 1
-                    changed = True
+                    divided = True
                 if e:
                     new_den.append((k, f, e))
             den = tuple(new_den)
+            again = undecided and divided
     cc, num = poly_primitive(num)
     if not num:
         return RF_ZERO
@@ -1290,17 +1303,6 @@ def eval_rf_residual(rf: RF, env: dict, cache: dict, margin: float) -> float:
     return abs(nv) / (1.0 + nmass)
 
 
-def eval_rf_conditioned(rf: RF, env: dict, cache: dict, margin: float,
-                        cond: float = 1e-9) -> float:
-    """Like eval_rf but rejects points where catastrophic cancellation
-    leaves fewer than ~ -log10(cond) trustworthy digits."""
-    dv = _eval_den(rf, env, cache, margin)
-    nv, nmass = eval_poly_mass(rf.num, env, cache, margin)
-    if nv != 0.0 and abs(nv) < cond * nmass:
-        raise SingularPointError("ill-conditioned evaluation point")
-    return float(rf.c) * nv / dv
-
-
 # -------------------------------------------- forward-mode dual evaluation
 
 
@@ -1387,23 +1389,6 @@ def eval_rf_d(rf: RF, v: str, env: dict, cache: dict,
     val = c * nval / dv
     dval = c * ndval / dv - val * dlog
     return val, dval
-
-
-def eval_rf_d_residual(rf: RF, v: str, env: dict, cache: dict,
-                       margin: float) -> float:
-    """Relative residual of d(rf)/dv at a point."""
-    nval, ndval, nmass, _nvm = eval_poly_d(rf.num, v, env, cache, margin)
-    dlog = 0.0
-    dmass = 0.0
-    for _k, f, e in rf.den:
-        fval, fdval, _fdm, fmass = eval_poly_d(f, v, env, cache, margin)
-        if abs(fval) <= margin * (1.0 + fmass):
-            raise SingularPointError("denominator factor vanishes at point")
-        dlog += e * fdval / fval
-        dmass += abs(e * fdval / fval)
-    t = ndval - nval * dlog
-    scale = 1.0 + nmass + abs(nval) * dmass + abs(nval) + abs(ndval)
-    return abs(t) / scale
 
 
 def eval_rf_dual(rf: RF, v: Optional[str], env: dict, cache: dict,

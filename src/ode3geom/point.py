@@ -147,13 +147,6 @@ def point_bas_h(ode: Ode3) -> Expr:
     return ode.cached("point_bas_h", build)
 
 
-def _point_basfun_5d(ode: Ode3) -> tuple:
-    """Point basic functions a, b, e, h, k at u = 1 (W != 0 branch)."""
-    from .contact import bas_a
-    return (bas_a(ode), point_bas_b(ode), point_bas_e(ode),
-            point_bas_h(ode), point_bas_k(ode))
-
-
 # ------------------------------------------------ reduced point invariants
 
 

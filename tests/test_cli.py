@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ode3geom.cli import main
 
 BOX_CHAZY = "x:-1:1,y:0.5:1.5,p:0.5:2,q:0.5:2"
@@ -91,6 +93,25 @@ class TestChazy:
         assert payload["matched"]["kappa"] == minus_two
         assert payload["matched"]["lambda"] == minus_two
 
+    def test_leading_minus_ode_is_a_value(self, capsys):
+        # Without a space, argparse would take "-2*y*q-2*p^2" for an option.
+        for flag in ("--ode", "-o"):
+            code, out = run_cli(["chazy", flag, "-2*y*q-2*p^2",
+                                 "--box", BOX_CHAZY, "--json"], capsys)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["matched"]["class"] == "II"
+            assert payload["tau"]["value"] == "5/12"
+
+    def test_leading_minus_base_is_a_value(self, capsys):
+        args = ["chazy", "--ode", "-2*y*q - 2*p^2", "--box", BOX_CHAZY,
+                "--json", "--transform", "--c1", "1", "--c2", "0"]
+        _c, attached = run_cli(args + ["--base=-0.5,1,0,0"], capsys)
+        code, out = run_cli(args + ["--base", "-0.5,1,0,0"], capsys)
+        assert code == 0
+        assert out == attached
+        assert json.loads(out)["transform"]["xbar_samples"]
+
     def test_transform(self, capsys):
         code, out = run_cli(["chazy", "--ode", "-2*y*q - 2*p^2",
                              "--box", BOX_CHAZY, "--json", "--transform",
@@ -108,6 +129,16 @@ class TestPullback:
         assert code == 0
         assert out.strip() == "3*q^2*p^(-1)"
 
+    @pytest.mark.parametrize("flag,other", [("--chi", "--phi"),
+                                            ("--phi", "--chi")])
+    def test_leading_minus_chi_phi_is_a_value(self, capsys, flag, other):
+        _c, attached = run_cli(["pullback", "--ode", "p*q", f"{flag}=-y",
+                                other, "x"], capsys)
+        code, out = run_cli(["pullback", "--ode", "p*q", flag, "-y",
+                             other, "x"], capsys)
+        assert code == 0
+        assert out == attached
+
 
 class TestBatchAndReport:
     def test_report(self, capsys):
@@ -118,6 +149,13 @@ class TestBatchAndReport:
         assert payload["point"]["row"] == "I.1"
         assert payload["geometry"]["cotton_zero"] is True
         assert payload["point_trivial"] is True
+
+    def test_report_leading_minus_ode(self, capsys):
+        code, out = run_cli(["report", "--ode", "-q^2", "--json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["input"] == "-q^2"
+        assert payload["point"]["row"] == "IV"
 
     def test_report_chazy_section_on_default_box(self, capsys):
         code, out = run_cli(["report", "--ode", "-2*y*q - 2*p^2", "--json"],

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ode3geom.expr import poly
 from ode3geom.expr import (DEFAULT_CONFIG, DomainError, JetPoint, ParseError,
                            SingularPointError, ZeroConfig, abs_, atan,
                            eval_at, exp, is_zero, log, normalize, num, parse,
@@ -218,6 +219,160 @@ class TestIsZero:
         # log of a mostly-negative argument starves the sampler
         e = log(var("y") - num(5)) + num(1)
         assert is_zero(e, config=cfg).status == "inconclusive"
+
+
+def _poly(*terms):
+    """{monomial: coeff} from (coeff, {"q": exponent, ...}) pairs."""
+    out = {}
+    for c, exps in terms:
+        m = tuple(sorted((poly.var_atom(v), poly._exp_norm(Fraction(e)))
+                         for v, e in exps.items() if e))
+        out = poly.poly_add(out, {m: c})
+    return out
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of poly.<name> for the rest of the test."""
+    calls = []
+    real = getattr(poly, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(poly, name, counted)
+    return calls
+
+
+def _den(*factors):
+    """A factored denominator from (polynomial, multiplicity) pairs."""
+    return tuple(sorted((poly.poly_key(f), f, e) for f, e in factors))
+
+
+HALF = Fraction(1, 2)
+
+
+class TestExactDivision:
+    @pytest.mark.parametrize("q, b", [
+        # fractional exponents
+        (_poly((1, {"q": HALF, "p": 1}), (3, {})),
+         _poly((1, {"q": Fraction(3, 2)}), (-2, {"p": Fraction(1, 3)}))),
+        # negative leading coefficients
+        (_poly((-1, {"q": 1}), (5, {"p": 1})),
+         _poly((-3, {"q": 2}), (1, {"p": 1}))),
+        # a not primitive
+        (_poly((6, {"q": 1}), (4, {"p": 1})),
+         _poly((1, {"q": 1}), (-1, {"p": 1}))),
+        # b not primitive, so the quotient is fractional
+        (_poly((HALF, {})),
+         _poly((2, {"q": 1}), (2, {"p": 1}))),
+        # Fraction coefficients in the quotient and in b
+        (_poly((HALF, {"q": 1}), (Fraction(2, 3), {"p": 1})),
+         _poly((1, {"q": 1}), (-1, {"p": 1}))),
+        (_poly((2, {"q": 1})),
+         _poly((HALF, {"q": 1}), (1, {"p": 1}))),
+        # several atoms, trailing term not constant
+        (_poly((1, {"y": 2, "q": 1}), (-7, {"x": 1}), (2, {"p": 3})),
+         _poly((3, {"x": 1, "q": 1}), (1, {"y": 1, "p": 1}),
+               (-2, {"p": 2}))),
+    ])
+    def test_hits_are_never_rejected(self, q, b):
+        # integral coefficients as ints, as in canonical polynomials
+        a = {m: poly._frac_c(c, 1) for m, c in poly.poly_mul(q, b).items()}
+        assert poly.poly_div_exact(a, b) == q
+
+    @pytest.mark.parametrize("a, b", [
+        # lead monomial: q^4 does not divide q^3
+        (_poly((1, {"q": 3}), (1, {"q": 1})),
+         _poly((1, {"q": 4}), (1, {"q": 1}))),
+        # trailing monomial: q does not divide 1
+        (_poly((1, {"q": 3}), (1, {})),
+         _poly((1, {"q": 2}), (1, {"q": 1}))),
+        # Gauss: lc(b) = 2 does not divide lc(a) = 3
+        (_poly((3, {"q": 2}), (1, {})),
+         _poly((2, {"q": 1}), (1, {}))),
+        # Gauss: tc(b) = 2 does not divide tc(a) = 3
+        (_poly((2, {"q": 2}), (3, {})),
+         _poly((1, {"q": 1}), (2, {}))),
+    ])
+    def test_misses_rejected_without_reducing(self, monkeypatch, a, b):
+        steps = _count_calls(monkeypatch, "mono_mul")
+        assert poly.poly_div_exact(a, b) is None
+        assert not steps
+
+    def test_fractional_quotient_coefficient_ends_division(self,
+                                                          monkeypatch):
+        # (2q^3 + 2q^2 + q + 1) / (2q + 1): the second quotient coefficient
+        # would be 1/2, impossible for a primitive integer divisor
+        a = _poly((2, {"q": 3}), (2, {"q": 2}), (1, {"q": 1}), (1, {}))
+        b = _poly((2, {"q": 1}), (1, {}))
+        steps = _count_calls(monkeypatch, "mono_mul")
+        assert poly.poly_div_exact(a, b) is None
+        assert len(steps) == len(b)          # one reduction step
+
+    def test_matches_sympy_div(self):
+        sympy = pytest.importorskip("sympy")
+        names = ("y", "p", "q")
+        syms = {poly.var_atom(v): sympy.Symbol(v) for v in names}
+
+        def to_sympy(a):
+            return sum(c * sympy.Mul(*(syms[aid] ** e for aid, e in m))
+                       for m, c in a.items())
+
+        def rand_poly(rng, n):
+            return _poly(*((rng.choice([-3, -2, -1, 1, 2, 3]),
+                            {v: rng.randint(0, 2) for v in names})
+                           for _ in range(n)))
+
+        rng = random.Random(20261018)
+        hits = 0
+        for k in range(80):
+            b = rand_poly(rng, rng.randint(2, 3))
+            if len(b) < 2:
+                continue
+            a = poly.poly_mul(rand_poly(rng, rng.randint(1, 4)), b)
+            if k % 2:
+                a = poly.poly_add(a, rand_poly(rng, 1))
+            if not a:
+                continue
+            got = poly.poly_div_exact(a, b)
+            quo, rem = sympy.div(to_sympy(a), to_sympy(b), *syms.values(),
+                                 domain="QQ")
+            if rem == 0:
+                hits += 1
+                assert got is not None
+                assert sympy.expand(to_sympy(got) - quo) == 0
+            else:
+                assert got is None
+        assert 30 <= hits < 80
+
+    def test_make_cancels_in_one_pass(self, monkeypatch):
+        f1 = _poly((1, {"q": 1}), (1, {"p": 1}))
+        f2 = _poly((1, {"q": 1}), (-2, {"p": 1}))
+        x = _poly((1, {"x": 1}))
+        g = _poly((1, {"q": 2}), (1, {}))
+        num = poly.poly_mul(poly.poly_mul(poly.poly_pow(f1, 2), f2), g)
+        divisions = _count_calls(monkeypatch, "poly_div_exact")
+        rf = poly._make(Fraction(1), num, _den((f1, 3), (f2, 2), (x, 1)))
+        assert rf.c == 1 and rf.num == g
+        assert rf.den == _den((f1, 1), (f2, 1), (x, 1))
+        # f1: two quotients and one miss; f2: one quotient and one miss;
+        # x: none, as num has no x
+        assert len(divisions) == 5
+
+    def test_make_retries_undecided_division(self, monkeypatch):
+        # With at most four reduction steps, num/f (six quotient terms) is
+        # undecided until g has divided num, and then takes three steps.
+        f1 = _poly((1, {"q": 1}), (-1, {}))
+        f2 = _poly((1, {"p": 1}), (-1, {}))
+        (_k, f, _e), (_k, g, _e) = _den((f1, 1), (f2, 1))
+        v = "q" if f == f1 else "p"
+        num = poly.poly_mul(_poly((1, {v: 3}), (-1, {})), g)
+        monkeypatch.setattr(poly, "_DIV_GUARD", 4)
+        with pytest.raises(poly._DivisionUndecided):
+            poly.poly_div_exact(num, f)
+        rf = poly._make(Fraction(1), num, _den((f, 1), (g, 1)))
+        assert rf.den == ()
+        assert rf.num == _poly((1, {v: 2}), (1, {v: 1}), (1, {}))
 
 
 def _random_expr(rng, depth=3, rational_only=False):
