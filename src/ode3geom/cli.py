@@ -29,11 +29,7 @@ EXIT_INTERNAL = 3
 
 
 def sym(e) -> dict:
-    return {"value": str(normalize(e)), "provenance": "symbolic"}
-
-
-def sampled(v) -> dict:
-    return {"value": v, "provenance": "sampled"}
+    return _jsonable(normalize(e))
 
 
 def quad(v) -> dict:

@@ -11,8 +11,9 @@ from typing import Optional
 from .classify import (ClassificationResult, InconclusiveError, const_value,
                        exact_const, is_constant, require, snap_rational,
                        tuples_match)
-from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, abs_, atan, exp, is_zero,
-                   normalize, num, pow_, sign_on_domain, var)
+from .expr import (DEFAULT_CONFIG, Expr, SignConsistencyError, ZeroConfig,
+                   abs_, atan, exp, is_zero, normalize, num, pow_,
+                   sign_on_domain, var)
 from .forms import Coframe, OneForm, d, decompose, decompose_many
 from .jet import (Ode3, WunschmannZeroError, jet_invariants, pd, pdl,
                   total_derivative, total_derivative_tree)
@@ -394,7 +395,7 @@ def classify_contact(ode: Ode3,
                      config: ZeroConfig = DEFAULT_CONFIG) -> ClassificationResult:
     try:
         return _classify_contact(ode, config)
-    except InconclusiveError as exc:
+    except (InconclusiveError, SignConsistencyError) as exc:
         return ClassificationResult(group="contact", row="general",
                                     inconclusive=True,
                                     diagnostics={"reason": str(exc)})

@@ -411,45 +411,7 @@ def partial_tree(e: Expr, v: str) -> Expr:
 
 def eval_tree(e: Expr, env: dict, margin: float = 0.0) -> float:
     """Faithful evaluation of the tree (no normalisation)."""
-    k = e.kind
-    if k is None:
-        return _p.eval_rf(e.rf, env, {}, margin)
-    if k == NUM:
-        return float(e.data)
-    if k == VARK:
-        try:
-            return float(env[e.data])
-        except KeyError:
-            raise DomainError(f"unbound variable {e.data!r}")
-    if k == ADD:
-        return sum(eval_tree(t, env, margin) for t in e.args)
-    if k == MUL:
-        out = 1.0
-        for f in e.args:
-            out *= eval_tree(f, env, margin)
-        return out
-    if k == POW:
-        b = eval_tree(e.args[0], env, margin)
-        if e.data < 0 and abs(b) <= margin:
-            raise SingularPointError("power base vanishes at sample point")
-        return _p.real_power(b, e.data)
-    if k == FUN:
-        import math
-        u = eval_tree(e.args[0], env, margin)
-        if e.data == "exp":
-            if u > 700:
-                raise DomainError("exp overflow")
-            return math.exp(u)
-        if e.data == "log":
-            if u <= 0:
-                raise DomainError("log of non-positive value")
-            return math.log(u)
-        if e.data == "atan":
-            return math.atan(u)
-        if e.data == "abs":
-            return abs(u)
-        return 0.0 if u == 0 else math.copysign(1.0, u)
-    raise AssertionError(k)
+    return eval_tree_dual(e, None, env, {}, margin)[0]
 
 
 def eval_tree_dual(e: Expr, v, env: dict, cache: dict,
@@ -467,7 +429,10 @@ def eval_tree_dual(e: Expr, v, env: dict, cache: dict,
         c = float(e.data)
         return c, 0.0, abs(c), 0.0
     if k == VARK:
-        val = float(env[e.data])
+        try:
+            val = float(env[e.data])
+        except KeyError:
+            raise DomainError(f"unbound variable {e.data!r}")
         dv = 1.0 if e.data == v else 0.0
         return val, dv, abs(val), dv
     if k == ADD:

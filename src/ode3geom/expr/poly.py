@@ -1198,45 +1198,11 @@ def drf(rf: RF, v: int) -> RF:
     return out
 
 
-# ----------------------------------------------------------------- evaluation
-
-
-def eval_atom(aid: int, env: dict, cache: dict, margin: float) -> float:
-    got = cache.get(aid)
-    if got is not None:
-        return got
-    kind, payload = _atom_payload[aid]
-    if kind == VAR:
-        try:
-            val = float(env[payload])
-        except KeyError:
-            raise DomainError(f"unbound variable {payload!r}")
-    elif kind == PRIME:
-        if isinstance(payload, int) and payload >= 10 ** 11:
-            val = (payload // 10 ** 12) / (payload % 10 ** 12)
-        else:
-            val = float(payload)
-    elif kind == PBASE:
-        val = eval_poly(payload, env, cache, margin)
-    else:
-        fn, arg = payload
-        u = eval_rf(arg, env, cache, margin)
-        if fn == "exp":
-            if u > 700:
-                raise DomainError("exp overflow")
-            val = math.exp(u)
-        elif fn == "log":
-            if u <= 0:
-                raise DomainError("log of non-positive value")
-            val = math.log(u)
-        elif fn == "atan":
-            val = math.atan(u)
-        elif fn == "abs":
-            val = abs(u)
-        else:
-            val = 0.0 if u == 0 else math.copysign(1.0, u)
-    cache[aid] = val
-    return val
+# -------------------------------------------- forward-mode dual evaluation
+#
+# One evaluator for values and derivatives alike: v names the variable to
+# differentiate by, and v=None gives the value with a zero derivative.  Every
+# cache therefore maps an atom id to its (value, d value / d v) pair.
 
 
 def real_power(base: float, e: Coeff) -> float:
@@ -1254,59 +1220,7 @@ def real_power(base: float, e: Coeff) -> float:
     raise DomainError("even root of a negative value")
 
 
-def eval_mono(m: tuple, env: dict, cache: dict, margin: float) -> float:
-    out = 1.0
-    for aid, e in m:
-        out *= real_power(eval_atom(aid, env, cache, margin), e)
-    return out
-
-
-def eval_poly(p: dict, env: dict, cache: dict, margin: float) -> float:
-    total = 0.0
-    for m, c in p.items():
-        total += c * eval_mono(m, env, cache, margin)
-    return total
-
-
-def eval_poly_mass(p: dict, env: dict, cache: dict, margin: float) -> tuple:
-    total = 0.0
-    mass = 0.0
-    for m, c in p.items():
-        t = c * eval_mono(m, env, cache, margin)
-        total += t
-        mass += abs(t)
-    return total, mass
-
-
-def _eval_den(rf: RF, env: dict, cache: dict, margin: float) -> float:
-    dv = 1.0
-    for _k, f, e in rf.den:
-        fv, fmass = eval_poly_mass(f, env, cache, margin)
-        if abs(fv) <= margin * (1.0 + fmass):
-            raise SingularPointError("denominator factor vanishes at point")
-        dv *= fv ** e
-    if dv == 0.0 or math.isinf(dv):
-        raise SingularPointError("denominator under/overflow at point")
-    return dv
-
-
-def eval_rf(rf: RF, env: dict, cache: dict, margin: float) -> float:
-    dv = _eval_den(rf, env, cache, margin)
-    nv = eval_poly(rf.num, env, cache, margin)
-    return float(rf.c) * nv / dv
-
-
-def eval_rf_residual(rf: RF, env: dict, cache: dict, margin: float) -> float:
-    """Relative residual of the numerator: |num| / (1 + sum |num terms|)."""
-    _eval_den(rf, env, cache, margin)
-    nv, nmass = eval_poly_mass(rf.num, env, cache, margin)
-    return abs(nv) / (1.0 + nmass)
-
-
-# -------------------------------------------- forward-mode dual evaluation
-
-
-def eval_atom_d(aid: int, v: str, env: dict, cache: dict,
+def eval_atom_d(aid: int, v: Optional[str], env: dict, cache: dict,
                 margin: float) -> tuple:
     """(value, d value / d v) for one atom."""
     got = cache.get(aid)
@@ -1314,7 +1228,10 @@ def eval_atom_d(aid: int, v: str, env: dict, cache: dict,
         return got
     kind, payload = _atom_payload[aid]
     if kind == VAR:
-        out = (float(env[payload]), 1.0 if payload == v else 0.0)
+        try:
+            out = (float(env[payload]), 1.0 if payload == v else 0.0)
+        except KeyError:
+            raise DomainError(f"unbound variable {payload!r}")
     elif kind == PRIME:
         if isinstance(payload, int) and payload >= 10 ** 11:
             out = ((payload // 10 ** 12) / (payload % 10 ** 12), 0.0)
@@ -1325,7 +1242,7 @@ def eval_atom_d(aid: int, v: str, env: dict, cache: dict,
         out = (val, dval)
     else:
         fn, arg = payload
-        u, du = eval_rf_d(arg, v, env, cache, margin)
+        u, du, _m, _dm = eval_rf_dual(arg, v, env, cache, margin)
         if fn == "exp":
             if u > 700:
                 raise DomainError("exp overflow")
@@ -1345,9 +1262,9 @@ def eval_atom_d(aid: int, v: str, env: dict, cache: dict,
     return out
 
 
-def eval_poly_d(p: dict, v: str, env: dict, cache: dict,
+def eval_poly_d(p: dict, v: Optional[str], env: dict, cache: dict,
                 margin: float) -> tuple:
-    """(value, derivative, derivative-term mass) of a polynomial."""
+    """(value, derivative, derivative-term mass, value-term mass)."""
     total = 0.0
     dtotal = 0.0
     dmass = 0.0
@@ -1366,40 +1283,16 @@ def eval_poly_d(p: dict, v: str, env: dict, cache: dict,
         term = c * val
         total += term
         vmass += abs(term)
-        dterm = term * sum(datoms) if datoms else 0.0
-        dtotal += dterm
-        dmass += sum(abs(term * d) for d in datoms) if datoms else 0.0
+        if datoms:
+            dtotal += term * sum(datoms)
+            dmass += sum(abs(term * d) for d in datoms)
     return total, dtotal, dmass, vmass
 
 
-def eval_rf_d(rf: RF, v: str, env: dict, cache: dict,
+def _eval_den(rf: RF, v: Optional[str], env: dict, cache: dict,
               margin: float) -> tuple:
-    nval, ndval, _dm, _vm = eval_poly_d(rf.num, v, env, cache, margin)
-    dv = 1.0
-    dlog = 0.0
-    for _k, f, e in rf.den:
-        fval, fdval, _fdm, fmass = eval_poly_d(f, v, env, cache, margin)
-        if abs(fval) <= margin * (1.0 + fmass):
-            raise SingularPointError("denominator factor vanishes at point")
-        dv *= fval ** e
-        dlog += e * fdval / fval
-    if dv == 0.0 or math.isinf(dv):
-        raise SingularPointError("denominator under/overflow at point")
-    c = float(rf.c)
-    val = c * nval / dv
-    dval = c * ndval / dv - val * dlog
-    return val, dval
-
-
-def eval_rf_dual(rf: RF, v: Optional[str], env: dict, cache: dict,
-                 margin: float) -> tuple:
-    """(value, dvalue, value-mass, dvalue-mass) for rf at a point."""
-    if v is None:
-        dv = _eval_den(rf, env, cache, margin)
-        nv, nmass = eval_poly_mass(rf.num, env, cache, margin)
-        c = float(rf.c)
-        return c * nv / dv, 0.0, abs(c) * nmass / abs(dv), 0.0
-    nval, ndval, ndmass, nmass = eval_poly_d(rf.num, v, env, cache, margin)
+    """(value, d log / d v, its term mass) of rf's denominator; raises
+    SingularPointError where a factor vanishes relative to its mass."""
     dv = 1.0
     dlog = 0.0
     dlog_mass = 0.0
@@ -1408,17 +1301,35 @@ def eval_rf_dual(rf: RF, v: Optional[str], env: dict, cache: dict,
         if abs(fval) <= margin * (1.0 + fmass):
             raise SingularPointError("denominator factor vanishes at point")
         dv *= fval ** e
-        dlog += e * fdval / fval
-        dlog_mass += abs(e * fdval / fval)
+        if fdval:
+            dlog += e * fdval / fval
+            dlog_mass += abs(e * fdval / fval)
     if dv == 0.0 or math.isinf(dv):
         raise SingularPointError("denominator under/overflow at point")
+    return dv, dlog, dlog_mass
+
+
+def eval_rf_dual(rf: RF, v: Optional[str], env: dict, cache: dict,
+                 margin: float) -> tuple:
+    """(value, dvalue, value-mass, dvalue-mass) for rf at a point."""
+    dv, dlog, dlog_mass = _eval_den(rf, v, env, cache, margin)
+    nval, ndval, ndmass, nmass = eval_poly_d(rf.num, v, env, cache, margin)
     c = float(rf.c)
     val = c * nval / dv
-    dval = c * ndval / dv - val * dlog
     mass = abs(c) * nmass / abs(dv)
+    if v is None:               # value only: no quotient rule to apply
+        return val, 0.0, mass, 0.0
+    dval = c * ndval / dv - val * dlog
     dmass = abs(c) * ndmass / abs(dv) + (abs(val) + mass) * dlog_mass \
         + mass * abs(dlog)
     return val, dval, mass, dmass
+
+
+def eval_rf_residual(rf: RF, env: dict, cache: dict, margin: float) -> float:
+    """Relative residual of the numerator: |num| / (1 + sum |num terms|)."""
+    _eval_den(rf, None, env, cache, margin)
+    nv, _d, _dm, nmass = eval_poly_d(rf.num, None, env, cache, margin)
+    return abs(nv) / (1.0 + nmass)
 
 
 def rf_signed_atoms(rf: RF) -> set:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from . import poly as _p
-from .nodes import Expr, eval_tree
+from .nodes import Expr, eval_tree, eval_tree_dual
 from .poly import DomainError, SingularPointError
 
 DEFAULT_BOX = {"x": (-1.0, 1.0), "y": (-1.0, 1.0),
@@ -69,7 +69,6 @@ class ZeroConfig:
     box: dict = field(default_factory=lambda: dict(DEFAULT_BOX))
     margin: float = 1e-7
     attempts: int = 1200
-    extra_vars: dict = field(default_factory=dict)  # name -> (lo, hi)
 
     def with_seed(self, seed: int) -> "ZeroConfig":
         return replace(self, seed=seed)
@@ -80,18 +79,22 @@ DEFAULT_CONFIG = ZeroConfig()
 
 def sample_points(cfg: ZeroConfig):
     rng = random.Random(cfg.seed)
-    names = list(cfg.box) + list(cfg.extra_vars)
-    ranges = dict(cfg.box)
-    ranges.update(cfg.extra_vars)
     while True:
-        yield {n: rng.uniform(*ranges[n]) for n in names}
+        yield {n: rng.uniform(*r) for n, r in cfg.box.items()}
 
 
-def _admissible_samples(e: Expr, cfg: ZeroConfig):
-    """Yield (env, residual, value-ish) for admissible points; raises
-    SignConsistencyError when an abs/sgn argument flips sign."""
-    rf = e.rf
-    signed = _p.rf_signed_atoms(rf)
+def _admissible(cfg: ZeroConfig, signed_rfs, signed_trees, measure):
+    """Yield (env, measure(env, cache)) at the first cfg.samples admissible
+    seeded points among cfg.attempts draws.
+
+    A point is skipped when any evaluation there is singular, out of domain
+    or overflows.  At each point the abs/sgn arguments are evaluated first,
+    signed RFs then signed trees; SignConsistencyError is raised when one of
+    them takes a nonzero sign other than its sign at the first point where
+    all of them evaluate.  cache is the point's (value, derivative) cache
+    with v=None, which measure may share."""
+    signed = [(_p.eval_rf_dual, a) for a in signed_rfs]
+    signed += [(eval_tree_dual, t) for t in signed_trees]
     signs: dict = {}
     gen = sample_points(cfg)
     found = 0
@@ -99,54 +102,30 @@ def _admissible_samples(e: Expr, cfg: ZeroConfig):
         env = next(gen)
         cache: dict = {}
         try:
-            for arg in signed:
-                v = _p.eval_rf(arg, env, cache, cfg.margin)
-                s = 1 if v > 0 else (-1 if v < 0 else 0)
-                prev = signs.get(arg)
-                if prev is None:
-                    signs[arg] = s
-                elif prev != s and s != 0:
+            vals = [ev(arg, None, env, cache, cfg.margin)[0]
+                    for ev, arg in signed]
+            for i, val in enumerate(vals):
+                s = (val > 0) - (val < 0)
+                if signs.setdefault(i, s) != s and s != 0:
                     raise SignConsistencyError(
                         "abs/sgn argument changes sign on the sample box")
-            res = _p.eval_rf_residual(rf, env, cache, cfg.margin)
-        except SingularPointError:
-            continue
-        except DomainError:
-            continue
-        except OverflowError:
+            out = measure(env, cache)
+        except (SingularPointError, DomainError, OverflowError):
             continue
         found += 1
-        yield env, res
+        yield env, out
         if found >= cfg.samples:
             return
 
 
-def is_zero(e: Union[Expr, int], seed: Optional[int] = None,
-            config: ZeroConfig = DEFAULT_CONFIG) -> ZeroVerdict:
-    """Deterministic randomised zero test.
-
-    Zero iff the canonical numerator is literally 0 or all admissible
-    samples have relative residual <= tol; nonzero comes with a witness.
-    """
-    if isinstance(e, int):
-        e = Expr._coerce(e)
-    cfg = config if seed is None else config.with_seed(seed)
-    if e.kind is not None and e._rf is None and _tree_weight(e) > 40:
-        # large unexpanded tree: sample it without lowering
-        return _is_zero_tree(e, cfg)
-    rf = e.rf
-    if rf.is_zero_poly():
-        return ZeroVerdict("zero", reason="symbolic")
-    if rf.is_const():
-        v = rf.const_value()
-        if v == 0:
-            return ZeroVerdict("zero", reason="symbolic")
-        return ZeroVerdict("nonzero", residual=abs(float(v)),
-                           reason="constant")
+def _verdict(cfg: ZeroConfig, signed_rfs, signed_trees,
+             residual) -> ZeroVerdict:
+    """Zero iff every admissible sample has residual <= tol; nonzero comes
+    with the first sample past it as witness."""
     worst = 0.0
     count = 0
     try:
-        for env, res in _admissible_samples(e, cfg):
+        for env, res in _admissible(cfg, signed_rfs, signed_trees, residual):
             count += 1
             if res > cfg.tol:
                 return ZeroVerdict("nonzero",
@@ -164,6 +143,38 @@ def is_zero(e: Union[Expr, int], seed: Optional[int] = None,
     return ZeroVerdict("zero", residual=worst, reason="sampled")
 
 
+def is_zero(e: Union[Expr, int], seed: Optional[int] = None,
+            config: ZeroConfig = DEFAULT_CONFIG) -> ZeroVerdict:
+    """Deterministic randomised zero test.
+
+    Zero iff the canonical numerator is literally 0 or all admissible
+    samples have relative residual <= tol; nonzero comes with a witness.
+    """
+    if isinstance(e, int):
+        e = Expr._coerce(e)
+    cfg = config if seed is None else config.with_seed(seed)
+    if e.kind is not None and e._rf is None and _tree_weight(e) > 40:
+        # large unexpanded tree: sample it without lowering
+        def tree_residual(env, cache):
+            val, _dv, mass, _dm = eval_tree_dual(e, None, env, cache,
+                                                 cfg.margin)
+            return abs(val) / (1.0 + mass)
+
+        return _verdict(cfg, *_signed_parts(e), tree_residual)
+    rf = e.rf
+    if rf.is_zero_poly():
+        return ZeroVerdict("zero", reason="symbolic")
+    if rf.is_const():
+        v = rf.const_value()
+        if v == 0:
+            return ZeroVerdict("zero", reason="symbolic")
+        return ZeroVerdict("nonzero", residual=abs(float(v)),
+                           reason="constant")
+    return _verdict(cfg, _p.rf_signed_atoms(rf), (),
+                    lambda env, cache: _p.eval_rf_residual(rf, env, cache,
+                                                           cfg.margin))
+
+
 def _tree_weight(e: Expr, cap: int = 48) -> int:
     stack = [e]
     n = 0
@@ -173,53 +184,6 @@ def _tree_weight(e: Expr, cap: int = 48) -> int:
         if t.kind is not None:
             stack.extend(t.args)
     return n
-
-
-def _is_zero_tree(e: Expr, cfg: ZeroConfig) -> ZeroVerdict:
-    from .nodes import eval_tree_dual
-    signed_rfs, signed_trees = _signed_parts(e)
-    signs: dict = {}
-    gen = sample_points(cfg)
-    found = 0
-    worst = 0.0
-    for _ in range(cfg.attempts):
-        env = next(gen)
-        cache: dict = {}
-        try:
-            vals = [(("rf", a), _p.eval_rf(a, env, cache, cfg.margin))
-                    for a in signed_rfs]
-            vals += [(("tree", i),
-                      eval_tree_dual(t, None, env, {}, cfg.margin)[0])
-                     for i, t in enumerate(signed_trees)]
-            for key, val in vals:
-                s = 1 if val > 0 else (-1 if val < 0 else 0)
-                prev = signs.get(key)
-                if prev is None:
-                    signs[key] = s
-                elif prev != s and s != 0:
-                    return ZeroVerdict("inconclusive",
-                                       reason="abs/sgn argument changes "
-                                              "sign on the sample box")
-            val, _dv, mass, _dm = eval_tree_dual(e, None, env, {},
-                                                 cfg.margin)
-            res = abs(val) / (1.0 + mass)
-        except (SingularPointError, DomainError, OverflowError):
-            continue
-        found += 1
-        if res > cfg.tol:
-            return ZeroVerdict("nonzero",
-                               witness=JetPoint(env.get("x", 0.0),
-                                                env.get("y", 0.0),
-                                                env.get("p", 1.0),
-                                                env.get("q", 1.0)),
-                               residual=res, reason="sampled")
-        worst = max(worst, res)
-        if found >= cfg.samples:
-            break
-    if found < cfg.samples:
-        return ZeroVerdict("inconclusive",
-                           reason=f"only {found} admissible sample points")
-    return ZeroVerdict("zero", residual=worst, reason="sampled")
 
 
 def sign_on_domain(e: Expr, seed: Optional[int] = None,
@@ -235,12 +199,15 @@ def sign_on_domain(e: Expr, seed: Optional[int] = None,
     if v.status == "inconclusive":
         raise SignConsistencyError(v.reason)
     rf = e.rf
+
+    def value(env, cache):
+        return _p.eval_rf_dual(rf, None, env, cache, cfg.margin)[0]
+
     sign = 0
     count = 0
-    for env, _res in _admissible_samples(e, cfg):
+    for _env, val in _admissible(cfg, _p.rf_signed_atoms(rf), (), value):
         count += 1
-        val = _p.eval_rf(rf, env, {}, cfg.margin)
-        s = 1 if val > 0 else (-1 if val < 0 else 0)
+        s = (val > 0) - (val < 0)
         if s == 0:
             continue
         if sign == 0:
@@ -274,51 +241,14 @@ def partial_is_zero(e: Expr, v: str, seed: Optional[int] = None,
                     config: ZeroConfig = DEFAULT_CONFIG) -> ZeroVerdict:
     """Verdict for d(e)/dv == 0 on the box, sampled by forward-mode dual
     evaluation so the derivative is never assembled symbolically."""
-    from .nodes import eval_tree_dual
     cfg = config if seed is None else config.with_seed(seed)
-    signed_rfs, signed_trees = _signed_parts(e)
-    signs: dict = {}
-    gen = sample_points(cfg)
-    found = 0
-    worst = 0.0
-    for _ in range(cfg.attempts):
-        env = next(gen)
-        cache: dict = {}
-        try:
-            vals = [( ("rf", a), _p.eval_rf(a, env, cache, cfg.margin))
-                    for a in signed_rfs]
-            vals += [(("tree", i),
-                      eval_tree_dual(t, None, env, {}, cfg.margin)[0])
-                     for i, t in enumerate(signed_trees)]
-            for key, val in vals:
-                s = 1 if val > 0 else (-1 if val < 0 else 0)
-                prev = signs.get(key)
-                if prev is None:
-                    signs[key] = s
-                elif prev != s and s != 0:
-                    return ZeroVerdict("inconclusive",
-                                       reason="abs/sgn argument changes "
-                                              "sign on the sample box")
-            val, dval, _m, dmass = eval_tree_dual(e, v, env, {},
-                                                  cfg.margin)
-            res = abs(dval) / (1.0 + abs(val) + abs(dval) + dmass)
-        except (SingularPointError, DomainError, OverflowError):
-            continue
-        found += 1
-        if res > cfg.tol:
-            return ZeroVerdict("nonzero",
-                               witness=JetPoint(env.get("x", 0.0),
-                                                env.get("y", 0.0),
-                                                env.get("p", 1.0),
-                                                env.get("q", 1.0)),
-                               residual=res, reason="sampled")
-        worst = max(worst, res)
-        if found >= cfg.samples:
-            break
-    if found < cfg.samples:
-        return ZeroVerdict("inconclusive",
-                           reason=f"only {found} admissible sample points")
-    return ZeroVerdict("zero", residual=worst, reason="sampled")
+
+    def residual(env, _cache):
+        # a cache of its own: the point's cache holds v=None derivatives
+        val, dval, _m, dmass = eval_tree_dual(e, v, env, {}, cfg.margin)
+        return abs(dval) / (1.0 + abs(val) + abs(dval) + dmass)
+
+    return _verdict(cfg, *_signed_parts(e), residual)
 
 
 def eval_at(e: Expr, pt: Union[JetPoint, dict], margin: float = 1e-12) -> float:
@@ -356,7 +286,6 @@ def _imul(a, b):
 
 
 def _eval_interval(e: Expr, env: dict, margin: float) -> tuple:
-    from . import poly as _pp
     k = e.kind
     if k is None:
         e = e.materialize()
@@ -418,36 +347,12 @@ def _eval_interval(e: Expr, env: dict, margin: float) -> tuple:
 def values_on_samples(e: Expr, config: ZeroConfig = DEFAULT_CONFIG,
                       n: Optional[int] = None) -> list:
     """Values of e at the first n admissible, well-conditioned samples."""
-    from .nodes import eval_tree_dual
     cfg = config if n is None else replace(config, samples=n)
-    signed_rfs, signed_trees = _signed_parts(e)
-    signs: dict = {}
-    out = []
-    gen = sample_points(cfg)
-    for _ in range(cfg.attempts):
-        env = next(gen)
-        cache: dict = {}
-        try:
-            vals = [(("rf", a), _p.eval_rf(a, env, cache, cfg.margin))
-                    for a in signed_rfs]
-            vals += [(("tree", i),
-                      eval_tree_dual(t, None, env, {}, cfg.margin)[0])
-                     for i, t in enumerate(signed_trees)]
-            for key, val in vals:
-                s = 1 if val > 0 else (-1 if val < 0 else 0)
-                prev = signs.get(key)
-                if prev is None:
-                    signs[key] = s
-                elif prev != s and s != 0:
-                    raise SignConsistencyError(
-                        "abs/sgn argument changes sign on the sample box")
-            val, _dv, mass, _dm = eval_tree_dual(e, None, env, {},
-                                                 cfg.margin)
-            if val != 0.0 and abs(val) < 1e-9 * mass:
-                raise SingularPointError("ill-conditioned evaluation point")
-            out.append(val)
-        except (SingularPointError, DomainError, OverflowError):
-            continue
-        if len(out) >= cfg.samples:
-            break
-    return out
+
+    def value(env, cache):
+        val, _dv, mass, _dm = eval_tree_dual(e, None, env, cache, cfg.margin)
+        if val != 0.0 and abs(val) < 1e-9 * mass:
+            raise SingularPointError("ill-conditioned evaluation point")
+        return val
+
+    return [val for _env, val in _admissible(cfg, *_signed_parts(e), value)]

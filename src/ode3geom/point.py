@@ -11,8 +11,8 @@ from .classify import (ClassificationResult, InconclusiveError, const_value,
                        exact_const, is_constant, require, snap_rational,
                        tuples_match)
 from .contact import PAIR, _decompose_all, _plain_omegas
-from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, is_zero, normalize, num,
-                   pow_, sign_on_domain, var)
+from .expr import (DEFAULT_CONFIG, Expr, SignConsistencyError, ZeroConfig,
+                   is_zero, normalize, num, pow_, sign_on_domain, var)
 from .forms import Coframe
 from .geometry import c1_flatness_combination, cartan_second_condition
 from .jet import (Ode3, jet_invariants, pd, pdl, total_derivative,
@@ -245,7 +245,7 @@ def classify_point(ode: Ode3,
                    config: ZeroConfig = DEFAULT_CONFIG) -> ClassificationResult:
     try:
         return _classify_point(ode, config)
-    except InconclusiveError as exc:
+    except (InconclusiveError, SignConsistencyError) as exc:
         return ClassificationResult(group="point", row="general",
                                     inconclusive=True,
                                     diagnostics={"reason": str(exc)})

@@ -167,6 +167,14 @@ class TestBatchAndReport:
         assert ch["Q"]["value"] == "10/3*y"
         assert ch["tau"] == {"value": "5/12", "provenance": "symbolic"}
 
+    def test_report_sign_flip_is_inconclusive(self, capsys):
+        code, out = run_cli(["report", "--ode", "x*q^2", "--json"], capsys)
+        assert code == 2
+        contact = json.loads(out)["contact"]
+        assert contact["inconclusive"] is True
+        assert contact["diagnostics"]["reason"] == \
+            "abs/sgn argument changes sign on the sample box"
+
     def test_batch(self, tmp_path, capsys):
         batch = tmp_path / "odes.txt"
         batch.write_text("0\nexp(q)\n")

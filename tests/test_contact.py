@@ -137,6 +137,14 @@ class TestClassify:
         res = classify_contact(Ode3.from_text("q^2 + y"))
         assert res.row == "general"
 
+    def test_sign_flip_is_an_inconclusive_result(self):
+        # an abs/sgn argument in the reduced invariants of x*q^2 changes
+        # sign on the default box: an honest inconclusive, not a leak
+        res = classify_contact(Ode3.from_text("x*q^2"))
+        assert res.inconclusive
+        assert res.diagnostics == {
+            "reason": "abs/sgn argument changes sign on the sample box"}
+
 
 class TestInvariance:
     def test_contact_battery_row_ii(self):

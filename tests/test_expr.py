@@ -6,9 +6,11 @@ import pytest
 
 from ode3geom.expr import poly
 from ode3geom.expr import (DEFAULT_CONFIG, DomainError, JetPoint, ParseError,
-                           SingularPointError, ZeroConfig, abs_, atan,
-                           eval_at, exp, is_zero, log, normalize, num, parse,
-                           partial, pow_, sgn, var)
+                           SignConsistencyError, SingularPointError,
+                           ZeroConfig, ZeroVerdict, abs_, add, atan, eval_at,
+                           exp, is_zero, log, normalize, num, parse, partial,
+                           partial_is_zero, pow_, sgn, sign_on_domain,
+                           values_on_samples, var)
 
 Q = var("q")
 P = var("p")
@@ -219,6 +221,59 @@ class TestIsZero:
         # log of a mostly-negative argument starves the sampler
         e = log(var("y") - num(5)) + num(1)
         assert is_zero(e, config=cfg).status == "inconclusive"
+
+
+FLIP = "abs/sgn argument changes sign on the sample box"
+
+
+class TestSamplerContract:
+    """One sampler behind is_zero, partial_is_zero, values_on_samples and
+    sign_on_domain: the same admissible points, the same abs/sgn sign check
+    and the same reasons."""
+
+    def test_sign_flip_is_inconclusive_on_the_rf_path(self):
+        x = var("x")
+        e = sgn(x) * abs_(x) - x
+        assert is_zero(e) == ZeroVerdict("inconclusive", reason=FLIP)
+        assert partial_is_zero(e, "q") == ZeroVerdict("inconclusive",
+                                                      reason=FLIP)
+
+    def test_sign_flip_is_inconclusive_on_the_tree_path(self):
+        from ode3geom.expr.zerotest import _tree_weight
+        x, p, q = var("x"), var("p"), var("q")
+        pairs = [t for i in range(1, 12)
+                 for t in (num(i) * p * q, -(num(i) * p * q))]
+        e = add(sgn(x) * abs_(x), -x, *pairs)
+        assert e._rf is None and _tree_weight(e) == 49
+        assert is_zero(e) == ZeroVerdict("inconclusive", reason=FLIP)
+        assert e._rf is None        # sampled without lowering
+        assert partial_is_zero(e, "q") == ZeroVerdict("inconclusive",
+                                                      reason=FLIP)
+
+    def test_sign_flip_raises_from_values_and_sign(self):
+        e = abs_(var("x")) * Q
+        # the flip shows only after the first sample, where is_zero stops
+        assert is_zero(e).is_nonzero
+        with pytest.raises(SignConsistencyError, match=FLIP):
+            values_on_samples(e)
+        with pytest.raises(SignConsistencyError, match=FLIP):
+            sign_on_domain(e)
+
+    def test_starved_domain_names_the_count(self):
+        cfg = ZeroConfig(attempts=40)
+        e = log(var("y") - num(Fraction(1, 2)))   # admissible for y > 1/2
+        assert partial_is_zero(e, "q", config=cfg) == ZeroVerdict(
+            "inconclusive", reason="only 7 admissible sample points")
+        assert len(values_on_samples(e, cfg)) == 7
+        assert partial_is_zero(e, "q").is_zero
+
+    def test_unbound_variable_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            eval_at(var("z"), JetPoint(0, 0, 1, 1))
+        with pytest.raises(DomainError):
+            eval_at(var("z") * Q + exp(var("z")), JetPoint(0, 0, 1, 1))
+        with pytest.raises(DomainError):
+            eval_at(normalize(var("z") * Q), JetPoint(0, 0, 1, 1))
 
 
 def _poly(*terms):
