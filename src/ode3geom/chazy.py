@@ -17,7 +17,8 @@ from .classify import exact_const, require, snap_rational
 from .expr import (DEFAULT_CONFIG, Expr, JetPoint, ZeroConfig, eval_at,
                    is_zero, normalize, num, pow_, var)
 from .forms import Coframe
-from .jet import Ode3, VectorField, jet_invariants, pd, total_derivative
+from .jet import Ode3, VectorField, klmw, pd, per_ode, total_derivative
+from .point import reduced_point_coframe
 from .quadrature import integrate
 
 
@@ -97,18 +98,22 @@ class NotReducibleError(ArithmeticError):
     pass
 
 
+@per_ode
+def _pq(ode: Ode3) -> tuple:
+    """P = D F_qp - F_qy and Q = 2 W_p - D W_q + F_q W_q."""
+    F = ode.F
+    W = klmw(ode).W
+    P = normalize(total_derivative(pd(F, "q", "p"), ode)
+                  - pd(F, "q", "y"))
+    Q = normalize(2 * pd(W, "p") - total_derivative(pd(W, "q"), ode)
+                  + pd(F, "q") * pd(W, "q"))
+    return P, Q
+
+
 def chazy_PQ(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> tuple:
-    """P = D F_qp - F_qy and Q = 2 W_p - D W_q + F_q W_q; both must be
-    nonzero for the reduction to go through."""
-    def build():
-        F = ode.F
-        W = jet_invariants(ode).W
-        P = normalize(total_derivative(pd(F, "q", "p"), ode)
-                      - pd(F, "q", "y"))
-        Q = normalize(2 * pd(W, "p") - total_derivative(pd(W, "q"), ode)
-                      + pd(F, "q") * pd(W, "q"))
-        return P, Q
-    P, Q = ode.cached("chazy_PQ", build)
+    """(P, Q) once both are nonzero on config's box, which the reduction
+    needs."""
+    P, Q = _pq(ode)
     if require(is_zero(P, config=config), "P"):
         raise NotReducibleError("P = 0: not reducible to a Chazy class")
     if require(is_zero(Q, config=config), "Q"):
@@ -137,7 +142,6 @@ def chazy_coframe(ode: Ode3, tau: Expr,
     remaining parameters follow the standard reduction relations
     (theta^4 = u7 omega^4)."""
     F = ode.F
-    K = jet_invariants(ode).K
     P, Q = chazy_PQ(ode, config)
     u1 = normalize(2 * P * P / Q)
     u3 = normalize(-4 * P ** 3 / (Q * Q))
@@ -145,18 +149,7 @@ def chazy_coframe(ode: Ode3, tau: Expr,
                   + Q / (2 * tau * P))
     G2 = normalize((total_derivative(P, ode) / P - S / 3) / 2)
     u2 = normalize(-u1 / (6 * tau) + G2 * u3)
-    u6 = normalize(u3 * u3 / u1)
-    u7 = normalize(u1 / u3)
-    u5 = normalize((u3 / u1) * (u2 - F3(1, 3) * u3 * pd(F, "q")))
-    u4 = normalize((u3 * u3 / u1) * K + u2 * u2 / (2 * u1))
-    from .contact import _plain_omegas
-    w1, w2, w3, w4 = _plain_omegas(ode)
-    th1 = u1 * w1
-    th2 = u2 * w1 + u3 * w2
-    th3 = u4 * w1 + u5 * w2 + u6 * w3
-    th4 = u7 * w4
-    return Coframe((th1.normalized(), th2.normalized(),
-                    th3.normalized(), th4.normalized()))
+    return reduced_point_coframe(ode, u1, u2, u3, num(0))
 
 
 def chazy_frame(ode: Ode3, tau: Expr,
@@ -201,7 +194,7 @@ def chazy_invariants(ode: Ode3, lam_over_kappa: Optional[F3] = None,
     """The basic invariants a, a4 = X4(a), b, c and the residual
     reduction conditions (the fourth of which defines tau)."""
     F = ode.F
-    inv = jet_invariants(ode)
+    inv = klmw(ode)
     K, W = inv.K, inv.W
     P, Q = chazy_PQ(ode, config)
     Fq = pd(F, "q")
@@ -306,7 +299,7 @@ def chazy_classify(ode: Ode3,
         report.reason = str(exc)
         return report
     report.P, report.Q = P, Q
-    W = jet_invariants(ode).W
+    W = klmw(ode).W
     if require(is_zero(pd(W, "q"), config=config), "W_q"):
         report.reason = "W_q = 0: frame degenerate"
         return report

@@ -2,7 +2,7 @@
 snapping, and constant-tuple comparison against canonical representatives."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -37,6 +37,18 @@ class ClassificationResult:
             "diagnostics": {k: _jsonable(v) for k, v in
                             self.diagnostics.items()},
         }
+
+
+def run_classifier(group: str, classify, ode, config: ZeroConfig
+                   ) -> ClassificationResult:
+    """classify(ode, config), with an inconclusive zero test or a sign flip
+    turned into an inconclusive "general" result that carries the reason."""
+    try:
+        return classify(ode, config)
+    except (InconclusiveError, SignConsistencyError) as exc:
+        return ClassificationResult(group=group, row="general",
+                                    inconclusive=True,
+                                    diagnostics={"reason": str(exc)})
 
 
 def _jsonable(v):
@@ -96,6 +108,17 @@ def exact_const(e: Expr) -> Optional[Fraction]:
     return None
 
 
+def constant_parameter(e: Expr, config: ZeroConfig):
+    """The value of an expression known to be constant: exact when it is a
+    rational constant, else the sampled value snapped to a small rational
+    when one is close."""
+    mu = exact_const(e)
+    if mu is None:
+        mv = const_value(e, config)
+        mu = snap_rational(mv) or mv
+    return mu
+
+
 def snap_rational(x: float, max_den: int = 64,
                   tol: float = 1e-7) -> Optional[Fraction]:
     """Nearest small-denominator rational within tol, else None."""
@@ -103,6 +126,18 @@ def snap_rational(x: float, max_den: int = 64,
     if abs(float(f) - x) <= tol * (1.0 + abs(x)):
         return f
     return None
+
+
+def rep_config(row: str, config: ZeroConfig) -> ZeroConfig:
+    """Sample boxes keeping canonical representatives real and guarded."""
+    box = dict(config.box)
+    if row == "VIII":
+        box.update(y=(0.8, 1.0), p=(0.5, 0.7), q=(1.2, 2.0))
+    elif row == "VII":
+        box.update(p=(0.5, 0.8))
+    elif row == "IX":
+        box.update(p=(0.5, 0.9), q=(1.2, 2.0))
+    return replace(config, box=box)
 
 
 def tuples_match(a, b, tol: float = 1e-6) -> bool:

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
 from . import __version__
 from .chazy import (ChazyTransformError, NotReducibleError, chazy_classify,
                     chazy_transform)
-from .classify import InconclusiveError, _jsonable
+from .classify import JET, InconclusiveError, _jsonable
 from .contact import classify_contact, contact_branch
 from .expr import (DEFAULT_CONFIG, DomainError, JetPoint, ParseError,
                    SignConsistencyError, SingularPointError, ZeroConfig,
@@ -40,8 +41,13 @@ def parse_box(text: str) -> dict:
     box = {}
     for part in text.split(","):
         name, lo, hi = part.split(":")
-        box[name.strip()] = (float(lo), float(hi))
-    for v in ("x", "y", "p", "q"):
+        name, bounds = name.strip(), (float(lo), float(hi))
+        if name not in JET:
+            raise ValueError(f"box variable {name!r} is not one of x, y, p, q")
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"box bounds for {name} must be finite")
+        box[name] = bounds
+    for v in JET:
         if v not in box:
             raise ValueError(f"box is missing variable {v}")
     return box
@@ -65,6 +71,10 @@ def build_config(args, file_opts: dict) -> ZeroConfig:
     seed = int(file_opts.get("seed", args.seed))
     samples = int(file_opts.get("samples", args.samples))
     tol = float(file_opts.get("tol", args.tol))
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     box_text = file_opts.get("box", args.box)
     box = parse_box(box_text) if box_text else dict(DEFAULT_CONFIG.box)
     return replace(DEFAULT_CONFIG, seed=seed, samples=samples, tol=tol,

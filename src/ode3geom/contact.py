@@ -9,14 +9,13 @@ from fractions import Fraction as F3
 from typing import Optional
 
 from .classify import (ClassificationResult, InconclusiveError, const_value,
-                       exact_const, is_constant, require, snap_rational,
-                       tuples_match)
-from .expr import (DEFAULT_CONFIG, Expr, SignConsistencyError, ZeroConfig,
-                   abs_, atan, exp, is_zero, normalize, num, pow_,
-                   sign_on_domain, var)
+                       constant_parameter, is_constant, rep_config, require,
+                       run_classifier, snap_rational, tuples_match)
+from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, abs_, atan, exp, is_zero,
+                   normalize, num, pow_, sign_on_domain, var)
 from .forms import Coframe, OneForm, d, decompose, decompose_many
-from .jet import (Ode3, WunschmannZeroError, jet_invariants, pd, pdl,
-                  total_derivative, total_derivative_tree)
+from .jet import (Ode3, WunschmannZeroError, jet_invariants, klmw, pd, pdl,
+                  per_ode, total_derivative_tree, z_invariant)
 
 TRIVIAL_FLAT = "trivial-flat"
 W0_FQQQQ = "W0-Fqqqq"
@@ -67,29 +66,27 @@ class ContactInvariants5d:
     u_weights: tuple = (0, -1, -1, -1, -2)
 
 
+@per_ode
 def _z_data(ode: Ode3) -> tuple:
-    """(Z, DZ) for the W != 0 reductions, cached as unexpanded trees."""
-    def build():
-        W = jet_invariants(ode).W
-        Z = total_derivative_tree(W, ode) / W - pdl(ode.F, "q")
-        return Z, total_derivative_tree(Z, ode)
-    return ode.cached("z_data", build)
+    """(Z, DZ) for the W != 0 reductions as unexpanded trees."""
+    W = klmw(ode).W
+    Z = total_derivative_tree(W, ode) / W - pdl(ode.F, "q")
+    return Z, total_derivative_tree(Z, ode)
 
 
+@per_ode
 def bas_a(ode: Ode3) -> Expr:
-    def build():
-        inv = jet_invariants(ode)
-        Z, DZ = _z_data(ode)
-        Fq = pd(ode.F, "q")
-        return (inv.K + Z * Z / 18 + Z * Fq / 9 - DZ / 3) \
-            / pow_(inv.W, F3(2, 3))
-    return ode.cached("bas_a", build)
+    inv = klmw(ode)
+    Z, DZ = _z_data(ode)
+    Fq = pd(ode.F, "q")
+    return (inv.K + Z * Z / 18 + Z * Fq / 9 - DZ / 3) \
+        / pow_(inv.W, F3(2, 3))
 
 
 def omega_section(ode: Ode3) -> OneForm:
     """The fifth reduced form at the section u = 1."""
     F = ode.F
-    W = jet_invariants(ode).W
+    W = klmw(ode).W
     Z, DZ = _z_data(ode)
     Fq = pd(F, "q")
     Wq, Wp = pd(W, "q"), pd(W, "p")
@@ -102,61 +99,57 @@ def omega_section(ode: Ode3) -> OneForm:
     return (c1 * w1 + c2 * w2 + c3 * w3 + c4 * w4).normalized()
 
 
-def _dtheta3_slots(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> tuple:
+@per_ode
+def _dtheta3_slots(ode: Ode3) -> tuple:
     """Structure coefficients of d(theta^3) - Omega ^ theta^3 at u = 1.
 
     In lexicographic slot order these are (b, c, -1, e, a, 0); reading b
     off the structure equation keeps the identity "a constant and k = 0
-    force b = 0" exact, which closed forms for b tend to break.
+    force b = 0" exact, which closed forms for b tend to break.  The solve
+    picks its pivots by zero tests on the default box, the one place where
+    a builder samples.
     """
-    def build():
-        from .forms import wedge
-        cof = nonwunschmann_coframe(ode, num(1))
-        om = omega_section(ode)
-        B = d(cof.theta[2]) - wedge(om, cof.theta[2])
-        return decompose(B, cof, config)
-    return ode.cached("dtheta3_slots", build)
+    from .forms import wedge
+    cof = nonwunschmann_coframe(ode, num(1))
+    om = omega_section(ode)
+    B = d(cof.theta[2]) - wedge(om, cof.theta[2])
+    return decompose(B, cof)
 
 
 def bas_b(ode: Ode3) -> Expr:
-    def build():
-        return _dtheta3_slots(ode)[PAIR[(1, 2)]]
-    return ode.cached("bas_b", build)
+    return _dtheta3_slots(ode)[PAIR[(1, 2)]]
 
 
+@per_ode
 def bas_e(ode: Ode3) -> Expr:
-    def build():
-        F = ode.F
-        W = jet_invariants(ode).W
-        Z, _DZ = _z_data(ode)
-        Wq = pd(W, "q")
-        return pd(F, "q", "q") / 3 \
-            + (F3(2, 9) * Wq * Z - F3(2, 3) * pd(W, "p")
-               - F3(2, 9) * Wq * pd(F, "q")) / W
-    return ode.cached("bas_e", build)
+    F = ode.F
+    W = klmw(ode).W
+    Z, _DZ = _z_data(ode)
+    Wq = pd(W, "q")
+    return pd(F, "q", "q") / 3 \
+        + (F3(2, 9) * Wq * Z - F3(2, 3) * pd(W, "p")
+           - F3(2, 9) * Wq * pd(F, "q")) / W
 
 
+@per_ode
 def bas_h(ode: Ode3) -> Expr:
-    def build():
-        F = ode.F
-        W = jet_invariants(ode).W
-        Z, DZ = _z_data(ode)
-        Wq = pd(W, "q")
-        return ((Wq * Z * Z / 9 - pd(W, "p") * Z / 3 + pd(W, "y")
-                 - Wq * DZ / 3) / W
-                + total_derivative_tree(pdl(Z, "q"), ode)
-                + pd(F, "q") * pdl(Z, "q") / 3) \
-            / (3 * pow_(W, F3(1, 3)))
-    return ode.cached("bas_h", build)
+    F = ode.F
+    W = klmw(ode).W
+    Z, DZ = _z_data(ode)
+    Wq = pd(W, "q")
+    return ((Wq * Z * Z / 9 - pd(W, "p") * Z / 3 + pd(W, "y")
+             - Wq * DZ / 3) / W
+            + total_derivative_tree(pdl(Z, "q"), ode)
+            + pd(F, "q") * pdl(Z, "q") / 3) \
+        / (3 * pow_(W, F3(1, 3)))
 
 
+@per_ode
 def bas_k(ode: Ode3) -> Expr:
-    def build():
-        W = jet_invariants(ode).W
-        Wq = pd(W, "q")
-        return (F3(2, 9) * Wq * Wq / W - pd(W, "q", "q") / 3) \
-            / pow_(W, F3(1, 3))
-    return ode.cached("bas_k", build)
+    W = klmw(ode).W
+    Wq = pd(W, "q")
+    return (F3(2, 9) * Wq * Wq / W - pd(W, "q", "q") / 3) \
+        / pow_(W, F3(1, 3))
 
 
 def _basfun_5d(ode: Ode3) -> tuple:
@@ -187,7 +180,7 @@ def _plain_omegas(ode: Ode3) -> tuple:
 
 def _u_nonwunschmann(ode: Ode3, case: int) -> Expr:
     """The last group-parameter substitution for reduction case 1..4."""
-    W = jet_invariants(ode).W
+    W = klmw(ode).W
     if case == 1:
         X = normalize(F3(2, 9) * pd(W, "q") ** 2 / W - pd(W, "q", "q") / 3)
         return normalize(pow_(abs_(W), F3(-1, 6)) * pow_(abs_(X), F3(1, 2)))
@@ -200,10 +193,10 @@ def _u_nonwunschmann(ode: Ode3, case: int) -> Expr:
 
 def nonwunschmann_coframe(ode: Ode3, u: Expr) -> Coframe:
     """The reduced contact coframe on J^2 for W != 0."""
-    inv = jet_invariants(ode)
+    inv = klmw(ode)
     K, W = inv.K, inv.W
     F = ode.F
-    Z = normalize(total_derivative(W, ode) / W - pd(F, "q"))
+    Z = z_invariant(ode)
     w1, w2, w3, w4 = _plain_omegas(ode)
     cbw = pow_(W, F3(1, 3))
     cbw2 = pow_(W, F3(2, 3))
@@ -222,7 +215,7 @@ def nonwunschmann_coframe(ode: Ode3, u: Expr) -> Coframe:
 def _u_w4d(ode: Ode3, config: ZeroConfig) -> tuple:
     """Reduction case and u for the branch W = 0, F_qqqq != 0."""
     F = ode.F
-    inv = jet_invariants(ode)
+    inv = klmw(ode)
     K, L = inv.K, inv.L
     Fq4 = pd(F, "q", "q", "q", "q")
     Kqqq = pd(K, "q", "q", "q")
@@ -248,8 +241,7 @@ def _u_w4d(ode: Ode3, config: ZeroConfig) -> tuple:
 
 
 def w4d_coframe(ode: Ode3, u: Expr) -> Coframe:
-    inv = jet_invariants(ode)
-    K = inv.K
+    K = klmw(ode).K
     F = ode.F
     Fq4 = pd(F, "q", "q", "q", "q")
     Fq5 = pd(F, "q", "q", "q", "q", "q")
@@ -324,7 +316,7 @@ def invariants_reduced(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG
             eps = 0
         else:
             eps = sign_on_domain(eps_expr, config=config)
-        W = jet_invariants(ode).W
+        W = klmw(ode).W
         Wq = pd(W, "q")
         eps_direct = normalize(2 * Wq * Wq - 3 * W * pd(W, "q", "q"))
         dv = is_zero(eps_direct, config=config)
@@ -352,8 +344,8 @@ def invariants_reduced(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG
     dv = is_zero(disc1, config=config)
     eps_sq = 0 if dv.is_zero else sign_on_domain(disc1, config=config)
     F = ode.F
-    K = jet_invariants(ode).K
-    cubed = normalize(2 * pd(F, "q", "q", "q", "q") * pd(jet_invariants(ode).L, "q", "q")
+    K, L = klmw(ode)[:2]
+    cubed = normalize(2 * pd(F, "q", "q", "q", "q") * pd(L, "q", "q")
                       - 3 * pd(K, "q", "q", "q") ** 3)
     cv = is_zero(cubed, config=config)
     eps_cubed = 0 if cv.is_zero else sign_on_domain(cubed, config=config)
@@ -393,12 +385,7 @@ def _mu_of_x(a: Expr, config: ZeroConfig) -> bool:
 
 def classify_contact(ode: Ode3,
                      config: ZeroConfig = DEFAULT_CONFIG) -> ClassificationResult:
-    try:
-        return _classify_contact(ode, config)
-    except (InconclusiveError, SignConsistencyError) as exc:
-        return ClassificationResult(group="contact", row="general",
-                                    inconclusive=True,
-                                    diagnostics={"reason": str(exc)})
+    return run_classifier("contact", _classify_contact, ode, config)
 
 
 def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
@@ -412,13 +399,9 @@ def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
         a = bas_a(ode)
         if allz:
             if is_constant(a, config):
-                mu = exact_const(a)
-                if mu is None:
-                    mv = const_value(a, config)
-                    mu = snap_rational(mv) or mv
                 return ClassificationResult(
                     group="contact", row="II", dimension=5,
-                    parameters={"mu": mu},
+                    parameters={"mu": constant_parameter(a, config)},
                     evidence=["W!=0", "b=e=h=k=0", "a constant"])
             return ClassificationResult(
                 group="contact", row="III", dimension=4,
@@ -456,22 +439,8 @@ def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
                 group="contact", row="general",
                 diagnostics={"reason": "invariants off every table row",
                              "eps1": red.eps, **vals})
-        result = ClassificationResult(
-            group="contact", row=row, dimension=4,
-            evidence=[f"eps1={red.eps}", f"I1={i1:.9g}"],
-            diagnostics=dict(vals))
-        if mu is not None:
-            msnap = snap_rational(mu)
-            result.parameters["mu"] = msnap if msnap is not None else mu
-        if rep is not None:
-            ok = _verify_against_rep(red, rep, config)
-            result.diagnostics["tuple_verified"] = ok
-            if not ok:
-                result.row = "general"
-                result.dimension = None
-                result.diagnostics["reason"] = \
-                    "candidate tuple differs from canonical representative"
-        return result
+        return _table_result(red, row, mu, rep, vals,
+                             [f"eps1={red.eps}", f"I1={i1:.9g}"], config)
     # W = 0, F_qqqq != 0
     red = invariants_reduced(ode, config)
     if not all(red.constancy.values()):
@@ -534,15 +503,22 @@ def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
             group="contact", row="general",
             diagnostics={"reason": "W=0 invariants off every table row",
                          "eps2": eps, **vals})
-    result = ClassificationResult(
-        group="contact", row=row, dimension=4,
-        evidence=[f"eps2={eps}", f"I7={i7:.9g}", f"I8={i8:.9g}"],
-        diagnostics=dict(vals))
+    return _table_result(red, row, mu, rep, vals,
+                         [f"eps2={eps}", f"I7={i7:.9g}", f"I8={i8:.9g}"],
+                         config)
+
+
+def _table_result(red: ContactCoframeInvariants, row: str, mu, rep, vals: dict,
+                  evidence: list, config: ZeroConfig) -> ClassificationResult:
+    """A dimension-4 table row, demoted to "general" when the full tuple
+    differs from that of the canonical representative rep."""
+    result = ClassificationResult(group="contact", row=row, dimension=4,
+                                  evidence=evidence, diagnostics=dict(vals))
     if mu is not None:
         ms = snap_rational(mu)
         result.parameters["mu"] = ms if ms is not None else mu
     if rep is not None:
-        ok = _verify_against_rep(red, rep, _rep_config(row, config))
+        ok = _verify_against_rep(red, rep, rep_config(row, config))
         result.diagnostics["tuple_verified"] = ok
         if not ok:
             result.row = "general"
@@ -550,19 +526,6 @@ def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
             result.diagnostics["reason"] = \
                 "candidate tuple differs from canonical representative"
     return result
-
-
-def _rep_config(row: str, config: ZeroConfig) -> ZeroConfig:
-    """Sample boxes keeping canonical representatives real and guarded."""
-    from dataclasses import replace
-    box = dict(config.box)
-    if row == "VIII":
-        box.update(y=(0.8, 1.0), p=(0.5, 0.7), q=(1.2, 2.0))
-    elif row == "VII":
-        box.update(p=(0.5, 0.8))
-    elif row == "IX":
-        box.update(p=(0.5, 0.9), q=(1.2, 2.0))
-    return replace(config, box=box)
 
 
 def _verify_against_rep(red: ContactCoframeInvariants, rep: Ode3,
@@ -606,11 +569,8 @@ def linearizable_contact(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG
         return LinearizableResult(status="no")
     a = bas_a(ode)
     if is_constant(a, config):
-        mu = exact_const(a)
-        if mu is None:
-            mv = const_value(a, config)
-            mu = snap_rational(mv) or mv
-        return LinearizableResult(status="constant", mu=mu)
+        return LinearizableResult(status="constant",
+                                  mu=constant_parameter(a, config))
     return LinearizableResult(status="mu_of_x", mu=normalize(a))
 
 

@@ -624,12 +624,6 @@ class RF:
         assert self.is_const()
         return self.c * self.num.get(MONE, 0)
 
-    def den_poly(self) -> dict:
-        out = dict(P_ONE)
-        for _k, f, e in self.den:
-            out = poly_mul(out, poly_pow(f, e))
-        return out
-
     # arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "RF") -> "RF":

@@ -121,15 +121,6 @@ def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
 class Coframe:
     theta: tuple  # four OneForms
 
-    def matrix(self) -> list:
-        return [list(th.components()) for th in self.theta]
-
-    def det(self) -> Expr:
-        return det4(self.matrix())
-
-    def nondegenerate(self, config: ZeroConfig = DEFAULT_CONFIG) -> bool:
-        return is_zero(self.det(), config=config).is_nonzero
-
     def wedges(self) -> list:
         """The six theta^j ^ theta^k (j<k), lexicographic."""
         return [wedge(self.theta[j], self.theta[k]) for j, k in PAIRS]

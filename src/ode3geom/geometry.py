@@ -11,7 +11,8 @@ from typing import Optional
 from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, is_zero, normalize, num,
                    sign_on_domain, var)
 from .forms import DX, Coframe, OneForm, d, decompose
-from .jet import Ode3, jet_invariants, pd, total_derivative
+from .jet import (JetInvariants, Ode3, jet_invariants, klmw, pd, per_ode,
+                  total_derivative)
 
 
 class NonWunschmannError(ArithmeticError):
@@ -26,19 +27,27 @@ class RicciZeroError(ArithmeticError):
     """The Einstein-Weyl Ricci scalar vanishes; no Lorentzian reduction."""
 
 
+def _w_zero(ode: Ode3, config: ZeroConfig) -> JetInvariants:
+    """The jet invariants, once W is zero on config's box."""
+    inv = jet_invariants(ode, config)
+    if not inv.w_verdict.is_zero:
+        raise NonWunschmannError(
+            f"Wunschmann invariant is {inv.w_verdict.status}")
+    return inv
+
+
+@per_ode
 def omega_forms(ode: Ode3) -> tuple:
     """The forms (omega^1, omega^2, omega~^3, omega^4) attached to F."""
-    def build():
-        F = ode.F
-        K = jet_invariants(ode).K
-        Fq = pd(F, "q")
-        w1 = OneForm(-var("p"), num(1), num(0), num(0))
-        w2 = OneForm(-var("q"), num(0), num(1), num(0))
-        w3 = OneForm(normalize(-F + F3(1, 3) * Fq * var("q") - K * var("p")),
-                     K, -F3(1, 3) * Fq, num(1))
-        w4 = OneForm(num(1), num(0), num(0), num(0))
-        return w1, w2, w3, w4
-    return ode.cached("omega_forms", build)
+    F = ode.F
+    K = klmw(ode).K
+    Fq = pd(F, "q")
+    w1 = OneForm(-var("p"), num(1), num(0), num(0))
+    w2 = OneForm(-var("q"), num(0), num(1), num(0))
+    w3 = OneForm(normalize(-F + F3(1, 3) * Fq * var("q") - K * var("p")),
+                 K, -F3(1, 3) * Fq, num(1))
+    w4 = OneForm(num(1), num(0), num(0), num(0))
+    return w1, w2, w3, w4
 
 
 def point_omega4(ode: Ode3) -> OneForm:
@@ -73,10 +82,7 @@ class QuadraticForm4:
 def conformal_metric(ode: Ode3,
                      config: ZeroConfig = DEFAULT_CONFIG) -> QuadraticForm4:
     """g = 2 omega^1 omega~^3 - (omega^2)^2; needs W = 0."""
-    inv = jet_invariants(ode, config)
-    if not inv.w_verdict.is_zero:
-        raise NonWunschmannError(
-            f"Wunschmann invariant is {inv.w_verdict.status}")
+    _w_zero(ode, config)
     w1, w2, w3, _w4 = omega_forms(ode)
     s13 = _sym(w1, w3)
     s22 = _sym(w2, w2)
@@ -88,10 +94,7 @@ def conformal_metric(ode: Ode3,
 def cotton_components(ode: Ode3,
                       config: ZeroConfig = DEFAULT_CONFIG) -> tuple:
     """The three Cotton 2-form components at the identity section."""
-    inv = jet_invariants(ode, config)
-    if not inv.w_verdict.is_zero:
-        raise NonWunschmannError(
-            f"Wunschmann invariant is {inv.w_verdict.status}")
+    inv = _w_zero(ode, config)
     F = ode.F
     K, L, M = inv.K, inv.L, inv.M
     Kq = pd(K, "q")
@@ -137,44 +140,47 @@ def c1_flatness_combination(ode: Ode3) -> Expr:
     2 F_qq K + (2/3) F_q F_qp - 2 F_qy + F_pp (diagnostic only; it is
     inconsistent with the swap oracle on F = 3q^2/p)."""
     F = ode.F
-    K = jet_invariants(ode).K
+    K = klmw(ode).K
     return normalize(2 * pd(F, "q", "q") * K
                      + F3(2, 3) * pd(F, "q") * pd(F, "q", "p")
                      - 2 * pd(F, "q", "y") + pd(F, "p", "p"))
 
 
+@per_ode
+def point_b_functions(ode: Ode3) -> tuple:
+    """B1, B2, B4 at the identity section: basic point invariants and
+    Einstein-Weyl curvature functions both."""
+    F = ode.F
+    K = klmw(ode).K
+    Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
+    B1 = normalize(F3(1, 18) * pd(F, "q", "q", "q") * Fq
+                   + F3(1, 36) * Fqq * Fqq + F3(1, 6) * pd(F, "q", "q", "p"))
+    B2 = normalize(F3(1, 6) * pd(F, "q", "q", "q"))
+    B4 = normalize(pd(K, "q", "q") + F3(1, 9) * pd(F, "q", "q", "q") * Fq
+                   + F3(1, 3) * pd(F, "q", "q", "p")
+                   + F3(1, 12) * Fqq * Fqq)
+    return B1, B2, B4
+
+
+@per_ode
 def weyl_b_functions(ode: Ode3) -> tuple:
     """B1..B4 of the Einstein-Weyl curvature at the identity section."""
-    def build():
-        F = ode.F
-        inv = jet_invariants(ode)
-        K, L = inv.K, inv.L
-        Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
-        B1 = normalize(F3(1, 18) * pd(F, "q", "q", "q") * Fq
-                       + F3(1, 6) * pd(F, "q", "q", "p")
-                       + F3(1, 36) * Fqq * Fqq)
-        B2 = normalize(F3(1, 6) * pd(F, "q", "q", "q"))
-        B3 = normalize(F3(1, 6) * pd(F, "q", "q", "y")
-                       - F3(1, 3) * Fqq * pd(K, "q")
-                       - F3(1, 6) * pd(F, "q", "q", "q") * K
-                       - F3(1, 18) * Fqq * pd(F, "q", "p")
-                       - F3(1, 54) * Fqq * Fqq * Fq
-                       - pd(L, "q"))
-        B4 = normalize(pd(K, "q", "q") + F3(1, 9) * pd(F, "q", "q", "q") * Fq
-                       + F3(1, 3) * pd(F, "q", "q", "p")
-                       + F3(1, 12) * Fqq * Fqq)
-        return B1, B2, B3, B4
-    return ode.cached("weyl_b", build)
+    F = ode.F
+    K, L = klmw(ode)[:2]
+    Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
+    B1, B2, B4 = point_b_functions(ode)
+    B3 = normalize(F3(1, 6) * pd(F, "q", "q", "y")
+                   - F3(1, 3) * Fqq * pd(K, "q")
+                   - F3(1, 6) * pd(F, "q", "q", "q") * K
+                   - F3(1, 18) * Fqq * pd(F, "q", "p")
+                   - F3(1, 54) * Fqq * Fqq * Fq
+                   - pd(L, "q"))
+    return B1, B2, B3, B4
 
 
 def lorentz_scalar(ode: Ode3) -> Expr:
-    """6 K_qq + (2/3) F_qqq F_q + 2 F_qqp + (1/2) F_qq^2 (equals 6 B4)."""
-    F = ode.F
-    K = jet_invariants(ode).K
-    Fqq = pd(F, "q", "q")
-    return normalize(6 * pd(K, "q", "q")
-                     + F3(2, 3) * pd(F, "q", "q", "q") * pd(F, "q")
-                     + 2 * pd(F, "q", "q", "p") + F3(1, 2) * Fqq * Fqq)
+    """6 B4 = 6 K_qq + (2/3) F_qqq F_q + 2 F_qqp + (1/2) F_qq^2."""
+    return normalize(6 * point_b_functions(ode)[2])
 
 
 @dataclass(frozen=True)
@@ -192,10 +198,7 @@ def weyl_structure(ode: Ode3,
                    config: ZeroConfig = DEFAULT_CONFIG) -> WeylData:
     """The Einstein-Weyl pair (g, phi); gated on W = 0 and the Cartan
     condition D^2 F_qq - D F_qp + F_qy = 0."""
-    inv = jet_invariants(ode, config)
-    if not inv.w_verdict.is_zero:
-        raise NonWunschmannError(
-            f"Wunschmann invariant is {inv.w_verdict.status}")
+    inv = _w_zero(ode, config)
     cart = cartan_second_condition(ode)
     cv = is_zero(cart, config=config)
     if not cv.is_zero:
@@ -239,10 +242,7 @@ def lorentz_check(ode: Ode3,
                   config: ZeroConfig = DEFAULT_CONFIG) -> LorentzResult:
     """Lorentzian reduction: W = 0, nonzero Ricci scalar of consistent
     sign, and vanishing weighted transport (D + (2/3) F_q) scalar."""
-    inv = jet_invariants(ode, config)
-    if not inv.w_verdict.is_zero:
-        raise NonWunschmannError(
-            f"Wunschmann invariant is {inv.w_verdict.status}")
+    _w_zero(ode, config)
     s = lorentz_scalar(ode)
     sv = is_zero(s, config=config)
     if sv.is_zero:
@@ -262,8 +262,7 @@ def lorentz_check(ode: Ode3,
 def normal_connection_forms(ode: Ode3) -> dict:
     """omega^1..omega^4 and Omega_1^0..Omega_6^0 at the identity section."""
     F = ode.F
-    inv = jet_invariants(ode)
-    K, L, M, W = inv.K, inv.L, inv.M, inv.W
+    K, L, M, W = klmw(ode)
     w1, w2, w3, w4 = omega_forms(ode)
     Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
     Kq, Kqq = pd(K, "q"), pd(K, "q", "q")

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import wraps
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, is_zero, normalize,
                    parse, partial, var)
@@ -41,10 +42,9 @@ class WunschmannZeroError(ArithmeticError):
 
 @dataclass
 class Ode3:
-    """A validated right-hand side F with its singular-locus guards."""
+    """A validated right-hand side F."""
 
     F: Expr
-    guards: tuple = ()
     provenance: str = ""
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -59,18 +59,29 @@ class Ode3:
         if bad:
             raise ValueError(f"F contains non-jet variables: {sorted(bad)}")
 
-    def check_guards(self, config: ZeroConfig = DEFAULT_CONFIG) -> bool:
-        return all(is_zero(g, config=config).is_nonzero for g in self.guards)
-
     def D(self, e: Expr) -> Expr:
         return total_derivative(e, self)
 
-    def cached(self, key, builder):
-        got = self._cache.get(key)
+
+def per_ode(fn):
+    """Cache fn(ode) on the ODE, one result per ODE.
+
+    fn must read nothing but the ODE: no config, no sample box, so the
+    result is the same whoever asks first."""
+    @wraps(fn)
+    def cached(ode: Ode3):
+        got = ode._cache.get(fn)
         if got is None:
-            got = builder()
-            self._cache[key] = got
+            got = ode._cache[fn] = fn(ode)
         return got
+    return cached
+
+
+class KLMW(NamedTuple):
+    K: Expr
+    L: Expr
+    M: Expr
+    W: Expr
 
 
 @dataclass(frozen=True)
@@ -79,8 +90,7 @@ class JetInvariants:
     L: Expr
     M: Expr
     W: Expr
-    Z: Optional[Expr]          # None when W == 0 on the domain
-    z_guard: Optional[Expr]    # the recorded guard (W) for Z
+    Z: Optional[Expr]          # None unless W is nonzero on the box
     w_verdict: object
 
 
@@ -93,29 +103,39 @@ def total_derivative(e: Expr, ode: Union[Ode3, Expr]) -> Expr:
     return from_rf(out.rf)
 
 
-def jet_invariants(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> JetInvariants:
-    def build():
-        F = ode.F
-        Fq = pd(F, "q")
-        K = F3(1, 6) * ode.D(Fq) - F3(1, 9) * Fq * Fq - F3(1, 2) * pd(F, "p")
-        K = normalize(K)
-        Kq = pd(K, "q")
-        L = (F3(1, 3) * pd(F, "q", "q") * K - F3(1, 3) * Fq * Kq
-             - pd(K, "p") - F3(1, 3) * pd(F, "q", "y"))
-        L = normalize(L)
-        M = (2 * pd(K, "q", "q") * K - 2 * pd(K, "q", "y")
-             + F3(1, 3) * pd(F, "q", "q") * L - F3(2, 3) * Fq * pd(L, "q")
-             - 2 * pd(L, "p"))
-        W = normalize(ode.D(K) - F3(2, 3) * Fq * K + pd(F, "y"))
-        return K, L, normalize(M), W
+@per_ode
+def klmw(ode: Ode3) -> KLMW:
+    """The relative invariants K, L, M and W, built symbolically; nothing
+    is sampled."""
+    F = ode.F
+    Fq = pd(F, "q")
+    K = F3(1, 6) * ode.D(Fq) - F3(1, 9) * Fq * Fq - F3(1, 2) * pd(F, "p")
+    K = normalize(K)
+    Kq = pd(K, "q")
+    L = (F3(1, 3) * pd(F, "q", "q") * K - F3(1, 3) * Fq * Kq
+         - pd(K, "p") - F3(1, 3) * pd(F, "q", "y"))
+    L = normalize(L)
+    M = (2 * pd(K, "q", "q") * K - 2 * pd(K, "q", "y")
+         + F3(1, 3) * pd(F, "q", "q") * L - F3(2, 3) * Fq * pd(L, "q")
+         - 2 * pd(L, "p"))
+    W = normalize(ode.D(K) - F3(2, 3) * Fq * K + pd(F, "y"))
+    return KLMW(K, L, normalize(M), W)
 
-    K, L, M, W = ode.cached("KLMW", build)
-    wv = is_zero(W, config=config)
-    Z = None
-    if wv.is_nonzero:
-        Z = ode.cached("Z", lambda: normalize(ode.D(W) / W - pd(ode.F, "q")))
-    return JetInvariants(K=K, L=L, M=M, W=W, Z=Z,
-                         z_guard=W if wv.is_nonzero else None, w_verdict=wv)
+
+@per_ode
+def z_invariant(ode: Ode3) -> Expr:
+    """Z = DW/W - F_q, built symbolically; defined only where W != 0."""
+    W = klmw(ode).W
+    return normalize(ode.D(W) / W - pd(ode.F, "q"))
+
+
+def jet_invariants(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> JetInvariants:
+    """klmw(ode) with the W verdict on config's box, and Z where that
+    verdict is nonzero."""
+    inv = klmw(ode)
+    wv = is_zero(inv.W, config=config)
+    return JetInvariants(*inv, Z=z_invariant(ode) if wv.is_nonzero else None,
+                         w_verdict=wv)
 
 
 def zee(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> Expr:

@@ -8,15 +8,17 @@ from fractions import Fraction as F3
 from typing import Optional
 
 from .classify import (ClassificationResult, InconclusiveError, const_value,
-                       exact_const, is_constant, require, snap_rational,
-                       tuples_match)
-from .contact import PAIR, _decompose_all, _plain_omegas
-from .expr import (DEFAULT_CONFIG, Expr, SignConsistencyError, ZeroConfig,
-                   is_zero, normalize, num, pow_, sign_on_domain, var)
+                       constant_parameter, is_constant, rep_config, require,
+                       run_classifier, snap_rational, tuples_match)
+from .contact import (PAIR, _decompose_all, _mu_of_x, _plain_omegas,
+                      _z_data, bas_a)
+from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, is_zero, normalize, num,
+                   pow_, sign_on_domain, var)
 from .forms import Coframe
-from .geometry import c1_flatness_combination, cartan_second_condition
-from .jet import (Ode3, jet_invariants, pd, pdl, total_derivative,
-                  total_derivative_tree)
+from .geometry import (c1_flatness_combination, cartan_second_condition,
+                       point_b_functions)
+from .jet import (Ode3, jet_invariants, klmw, pd, pdl, per_ode,
+                  total_derivative, total_derivative_tree)
 
 
 @dataclass(frozen=True)
@@ -30,23 +32,17 @@ class PointBasicInvariants:
     C1: Expr
 
 
+@per_ode
 def point_basic_invariants(ode: Ode3) -> PointBasicInvariants:
-    def build():
-        F = ode.F
-        inv = jet_invariants(ode)
-        K, W = inv.K, inv.W
-        Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
-        B1 = normalize(F3(1, 18) * pd(F, "q", "q", "q") * Fq
-                       + F3(1, 36) * Fqq * Fqq + F3(1, 6) * pd(F, "q", "q", "p"))
-        B2 = normalize(F3(1, 6) * pd(F, "q", "q", "q"))
-        B4 = normalize(pd(K, "q", "q") + F3(1, 9) * pd(F, "q", "q", "q") * Fq
-                       + F3(1, 3) * pd(F, "q", "q", "p")
-                       + F3(1, 12) * Fqq * Fqq)
-        C1 = normalize(2 * Fqq * K + F3(2, 3) * Fq * pd(F, "q", "p")
-                       - 2 * pd(F, "q", "y") + pd(F, "p", "p")
-                       + 2 * pd(W, "q"))
-        return PointBasicInvariants(A1=W, B1=B1, B2=B2, B4=B4, C1=C1)
-    return ode.cached("point_basic", build)
+    F = ode.F
+    inv = klmw(ode)
+    K, W = inv.K, inv.W
+    Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
+    B1, B2, B4 = point_b_functions(ode)
+    C1 = normalize(2 * Fqq * K + F3(2, 3) * Fq * pd(F, "q", "p")
+                   - 2 * pd(F, "q", "y") + pd(F, "p", "p")
+                   + 2 * pd(W, "q"))
+    return PointBasicInvariants(A1=W, B1=B1, B2=B2, B4=B4, C1=C1)
 
 
 @dataclass(frozen=True)
@@ -91,118 +87,127 @@ def point_trivial_check(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG,
 # --------------------------------------------- the five-dimensional layer
 
 
+@per_ode
 def point_bas_k(ode: Ode3) -> Expr:
-    def build():
-        W = jet_invariants(ode).W
-        return F3(1, 3) * pd(W, "q") / pow_(W, F3(2, 3))
-    return ode.cached("point_bas_k", build)
+    W = klmw(ode).W
+    return F3(1, 3) * pd(W, "q") / pow_(W, F3(2, 3))
 
 
+@per_ode
 def point_bas_e(ode: Ode3) -> Expr:
-    def build():
-        from .contact import _z_data
-        F = ode.F
-        W = jet_invariants(ode).W
-        Z, _DZ = _z_data(ode)
-        Wq = pd(W, "q")
-        return (F3(1, 6) * pd(F, "q", "q") - F3(1, 3) * pdl(Z, "q")
-                + (F3(2, 9) * Wq * Z - F3(2, 3) * pd(W, "p")
-                   - F3(2, 9) * Wq * pd(F, "q")) / W)
-    return ode.cached("point_bas_e", build)
+    F = ode.F
+    W = klmw(ode).W
+    Z, _DZ = _z_data(ode)
+    Wq = pd(W, "q")
+    return (F3(1, 6) * pd(F, "q", "q") - F3(1, 3) * pdl(Z, "q")
+            + (F3(2, 9) * Wq * Z - F3(2, 3) * pd(W, "p")
+               - F3(2, 9) * Wq * pd(F, "q")) / W)
 
 
+@per_ode
 def point_bas_b(ode: Ode3) -> Expr:
-    def build():
-        from .contact import _z_data
-        F = ode.F
-        inv = jet_invariants(ode)
-        K, W = inv.K, inv.W
-        Z, DZ = _z_data(ode)
-        Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
-        return ((F3(1, 12) * Fqq + F3(1, 18) * pdl(Z, "q")) * Z * Z
-                + (pd(K, "q") - F3(1, 3) * pdl(Z, "p")
-                   - F3(1, 9) * Fq * pdl(Z, "q")
-                   + F3(1, 18) * Fqq * Fq) * Z
-                - F3(1, 6) * Fqq * DZ - K * pdl(Z, "q") + pdl(Z, "y")
-                + F3(3, 2) * Fqq * K - 3 * pd(K, "p")
-                - pd(K, "q") * Fq - pd(F, "q", "y")) \
-            / (3 * pow_(W, F3(2, 3)))
-    return ode.cached("point_bas_b", build)
+    F = ode.F
+    inv = klmw(ode)
+    K, W = inv.K, inv.W
+    Z, DZ = _z_data(ode)
+    Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
+    return ((F3(1, 12) * Fqq + F3(1, 18) * pdl(Z, "q")) * Z * Z
+            + (pd(K, "q") - F3(1, 3) * pdl(Z, "p")
+               - F3(1, 9) * Fq * pdl(Z, "q")
+               + F3(1, 18) * Fqq * Fq) * Z
+            - F3(1, 6) * Fqq * DZ - K * pdl(Z, "q") + pdl(Z, "y")
+            + F3(3, 2) * Fqq * K - 3 * pd(K, "p")
+            - pd(K, "q") * Fq - pd(F, "q", "y")) \
+        / (3 * pow_(W, F3(2, 3)))
 
 
+@per_ode
 def point_bas_h(ode: Ode3) -> Expr:
-    def build():
-        from .contact import _z_data
-        F = ode.F
-        inv = jet_invariants(ode)
-        K, W = inv.K, inv.W
-        Z, _DZ = _z_data(ode)
-        Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
-        Wq = pd(W, "q")
-        return ((F3(1, 18) * Wq * Z * Z
-                 - (F3(1, 3) * pd(W, "p") + F3(1, 9) * Wq * Fq) * Z
-                 + pd(W, "y") - Wq * K) / W
-                - 3 * pd(K, "q") - F3(1, 3) * Fqq * Fq
-                - pd(F, "q", "p")) / (3 * pow_(W, F3(1, 3)))
-    return ode.cached("point_bas_h", build)
+    F = ode.F
+    inv = klmw(ode)
+    K, W = inv.K, inv.W
+    Z, _DZ = _z_data(ode)
+    Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
+    Wq = pd(W, "q")
+    return ((F3(1, 18) * Wq * Z * Z
+             - (F3(1, 3) * pd(W, "p") + F3(1, 9) * Wq * Fq) * Z
+             + pd(W, "y") - Wq * K) / W
+            - 3 * pd(K, "q") - F3(1, 3) * Fqq * Fq
+            - pd(F, "q", "p")) / (3 * pow_(W, F3(1, 3)))
 
 
 # ------------------------------------------------ reduced point invariants
 
 
+@per_ode
 def point_reduced_w_nonzero(ode: Ode3) -> dict:
     """I1p..I4p for W != 0 with W_q != 0 (identity-section formulas)."""
-    def build():
-        from .contact import _z_data
-        F = ode.F
-        inv = jet_invariants(ode)
-        K, W = inv.K, inv.W
-        Z, _DZ = _z_data(ode)
-        Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
-        Wq = pd(W, "q")
-        cbw = pow_(W, F3(1, 3))
-        cbw2 = pow_(W, F3(2, 3))
-        i1 = -3 * pd(W, "q", "q") * W / (Wq * Wq)
-        i2 = (3 * pd(W, "p") + Wq * Fq - Wq * Z
-              - 3 * W * pdl(Z, "q") - 3 * Fqq * W) / (cbw * Wq)
-        i3 = -cbw2 * (2 * pdl(Z, "q") + Fqq) / (2 * Wq)
-        i4 = (Z * Z - 6 * total_derivative_tree(Z, ode) + 18 * K
-              + 2 * Z * Fq) / (18 * cbw2)
-        return {"I1p": i1, "I2p": i2, "I3p": i3, "I4p": i4}
-    return ode.cached("point_reduced_wnz", build)
+    F = ode.F
+    inv = klmw(ode)
+    K, W = inv.K, inv.W
+    Z, _DZ = _z_data(ode)
+    Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
+    Wq = pd(W, "q")
+    cbw = pow_(W, F3(1, 3))
+    cbw2 = pow_(W, F3(2, 3))
+    i1 = -3 * pd(W, "q", "q") * W / (Wq * Wq)
+    i2 = (3 * pd(W, "p") + Wq * Fq - Wq * Z
+          - 3 * W * pdl(Z, "q") - 3 * Fqq * W) / (cbw * Wq)
+    i3 = -cbw2 * (2 * pdl(Z, "q") + Fqq) / (2 * Wq)
+    i4 = (Z * Z - 6 * total_derivative_tree(Z, ode) + 18 * K
+          + 2 * Z * Fq) / (18 * cbw2)
+    return {"I1p": i1, "I2p": i2, "I3p": i3, "I4p": i4}
 
 
+@per_ode
 def point_reduced_w4d(ode: Ode3) -> dict:
     """I5p..I8p for W = 0, F_qqqq != 0 (identity-section formulas)."""
-    def build():
-        F = ode.F
-        inv = jet_invariants(ode)
-        K = inv.K
-        Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
-        F3q = pd(F, "q", "q", "q")
-        F4q = pd(F, "q", "q", "q", "q")
-        F5q = pd(F, "q", "q", "q", "q", "q")
-        N = normalize(pd(F, "q", "q", "p") + F3(1, 6) * Fqq * Fqq
-                      + F3(1, 3) * F3q * Fq)
-        i5 = normalize(F3q * F5q / (F4q * F4q))
-        i6 = normalize(F4q * (F3(8, 3) * F4q - 12 * F3q * pd(K, "q", "q", "q")
-                              + F3(5, 9) * F4q * Fqq * Fqq
-                              + 20 * F4q * pd(K, "q", "q")) / F3q ** 4)
-        i7 = normalize(F4q * (6 * pd(N, "q") * F3q - 6 * N * F4q
-                              + Fqq * F3q * F3q) / F3q ** 4)
-        i8 = normalize(F3(-2, 27) * F4q ** 4
-                       * (4 * N * Fq * F3q + 6 * total_derivative(N, ode) * F3q
-                          - 9 * N * N - Fqq * Fqq * N
-                          - 36 * pd(K, "q", "q") * N - 6 * F3q * F3q * K)
-                       / F3q ** 8)
-        return {"I5p": i5, "I6p": i6, "I7p": i7, "I8p": i8}
-    return ode.cached("point_reduced_w4d", build)
+    F = ode.F
+    K = klmw(ode).K
+    Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
+    F3q = pd(F, "q", "q", "q")
+    F4q = pd(F, "q", "q", "q", "q")
+    F5q = pd(F, "q", "q", "q", "q", "q")
+    N = normalize(pd(F, "q", "q", "p") + F3(1, 6) * Fqq * Fqq
+                  + F3(1, 3) * F3q * Fq)
+    i5 = normalize(F3q * F5q / (F4q * F4q))
+    i6 = normalize(F4q * (F3(8, 3) * F4q - 12 * F3q * pd(K, "q", "q", "q")
+                          + F3(5, 9) * F4q * Fqq * Fqq
+                          + 20 * F4q * pd(K, "q", "q")) / F3q ** 4)
+    i7 = normalize(F4q * (6 * pd(N, "q") * F3q - 6 * N * F4q
+                          + Fqq * F3q * F3q) / F3q ** 4)
+    i8 = normalize(F3(-2, 27) * F4q ** 4
+                   * (4 * N * Fq * F3q + 6 * total_derivative(N, ode) * F3q
+                      - 9 * N * N - Fqq * Fqq * N
+                      - 36 * pd(K, "q", "q") * N - 6 * F3q * F3q * K)
+                   / F3q ** 8)
+    return {"I5p": i5, "I6p": i6, "I7p": i7, "I8p": i8}
+
+
+def reduced_point_coframe(ode: Ode3, u1: Expr, u2: Expr, u3: Expr,
+                          u8: Expr) -> Coframe:
+    """The point coframe theta^1 = u1 w1, theta^2 = u2 w1 + u3 w2,
+    theta^3 = u4 w1 + u5 w2 + u6 w3, theta^4 = u8 w1 + u7 w4, with u4..u7
+    given by the reduction relations u6 = u3^2/u1, u7 = u1/u3,
+    u5 = (u3/u1)(u2 - u3 F_q/3) and u4 = (u3^2/u1) K + u2^2/(2 u1)."""
+    F = ode.F
+    K = klmw(ode).K
+    u6 = normalize(u3 * u3 / u1)
+    u7 = normalize(u1 / u3)
+    u5 = normalize((u3 / u1) * (u2 - F3(1, 3) * u3 * pd(F, "q")))
+    u4 = normalize((u3 * u3 / u1) * K + u2 * u2 / (2 * u1))
+    w1, w2, w3, w4 = _plain_omegas(ode)
+    th1 = u1 * w1
+    th2 = u2 * w1 + u3 * w2
+    th3 = u4 * w1 + u5 * w2 + u6 * w3
+    th4 = u8 * w1 + u7 * w4
+    return Coframe((th1.normalized(), th2.normalized(),
+                    th3.normalized(), th4.normalized()))
 
 
 def point_coframe_fqqq(ode: Ode3) -> Coframe:
     """The point coframe for the branch W = 0, F_qqqq = 0, F_qqq != 0."""
     F = ode.F
-    K = jet_invariants(ode).K
     Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
     F3q = pd(F, "q", "q", "q")
     G = normalize(6 * pd(F, "q", "q", "q", "p") + 5 * F3q * Fqq)
@@ -211,18 +216,8 @@ def point_coframe_fqqq(ode: Ode3) -> Coframe:
     u1 = normalize(-(G ** 3) / (36 * F3q ** 4))
     u2 = normalize(-G * N / (6 * F3q * F3q))
     u3 = normalize(-G / (6 * F3q))
-    u6 = normalize(u3 * u3 / u1)
-    u7 = normalize(u1 / u3)
-    u5 = normalize((u3 / u1) * (u2 - F3(1, 3) * u3 * Fq))
-    u4 = normalize((u3 * u3 / u1) * K + u2 * u2 / (2 * u1))
     u8 = normalize(u1 * u1 * Fqq / (6 * u3 * u3))
-    w1, w2, w3, w4 = _plain_omegas(ode)
-    th1 = u1 * w1
-    th2 = u2 * w1 + u3 * w2
-    th3 = u4 * w1 + u5 * w2 + u6 * w3
-    th4 = u8 * w1 + u7 * w4
-    return Coframe((th1.normalized(), th2.normalized(),
-                    th3.normalized(), th4.normalized()))
+    return reduced_point_coframe(ode, u1, u2, u3, u8)
 
 
 def point_reduced_fqqq(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> dict:
@@ -243,16 +238,10 @@ def point_reduced_fqqq(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> dict:
 
 def classify_point(ode: Ode3,
                    config: ZeroConfig = DEFAULT_CONFIG) -> ClassificationResult:
-    try:
-        return _classify_point(ode, config)
-    except (InconclusiveError, SignConsistencyError) as exc:
-        return ClassificationResult(group="point", row="general",
-                                    inconclusive=True,
-                                    diagnostics={"reason": str(exc)})
+    return run_classifier("point", _classify_point, ode, config)
 
 
 def _classify_point(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
-    F = ode.F
     inv = jet_invariants(ode, config)
     wz = require(inv.w_verdict, "W")
     if wz:
@@ -355,7 +344,7 @@ def _classify_point_w0(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
             v = point_reduced_w4d(o)
             return {k: v[k] for k in ("I5p", "I7p", "I8p")}
         ok = _verify_point_rep(nums, rep, gate_pipeline,
-                               _point_rep_config(row, config), config)
+                               rep_config(row, config), config)
         result.diagnostics["tuple_verified"] = ok
         if not ok:
             result.row, result.dimension = "general", None
@@ -363,31 +352,25 @@ def _classify_point_w0(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
 
 
 def _classify_point_wnz(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
-    from .contact import bas_a
     kz = require(is_zero(point_bas_k(ode), config=config), "point k")
     ez = kz and require(is_zero(point_bas_e(ode), config=config), "point e")
     if ez and kz:
         a = bas_a(ode)
         if is_constant(a, config):
-            mu = exact_const(a)
-            if mu is None:
-                mv = const_value(a, config)
-                mu = snap_rational(mv) or mv
             return ClassificationResult(
                 group="point", row="II.1", dimension=5,
-                parameters={"mu": mu},
+                parameters={"mu": constant_parameter(a, config)},
                 evidence=["W!=0", "e=k=0", "a constant"])
         bz = require(is_zero(point_bas_b(ode), config=config), "point b")
         hz = bz and require(is_zero(point_bas_h(ode), config=config),
                             "point h")
         if bz and hz:
-            from .contact import _mu_of_x
             return ClassificationResult(
                 group="point", row="III", dimension=4,
                 parameters={"mu_of_x": normalize(a)},
                 evidence=["W!=0", "b=e=h=k=0", "a nonconstant"],
                 diagnostics={"a_is_x_only": _mu_of_x(a, config)})
-    W = jet_invariants(ode).W
+    W = klmw(ode).W
     if require(is_zero(pd(W, "q"), config=config), "W_q"):
         return ClassificationResult(
             group="point", row="general",
@@ -443,16 +426,6 @@ def _classify_point_wnz(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
     return ClassificationResult(
         group="point", row="general", evidence=["W!=0"],
         diagnostics=dict(nums, reason="no canonical representative matches"))
-
-
-def _point_rep_config(row: str, config: ZeroConfig) -> ZeroConfig:
-    from dataclasses import replace
-    box = dict(config.box)
-    if row == "VIII":
-        box.update(y=(0.8, 1.0), p=(0.5, 0.7), q=(1.2, 2.0))
-    elif row == "IX":
-        box.update(p=(0.5, 0.9), q=(1.2, 2.0))
-    return replace(config, box=box)
 
 
 def _verify_point_rep(nums: dict, rep: Ode3, pipeline, rep_config, config) -> bool:

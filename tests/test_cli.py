@@ -2,10 +2,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from ode3geom.cli import main
+from ode3geom.cli import main, parse_box, run_report
+from ode3geom.expr import DEFAULT_CONFIG
 
 BOX_CHAZY = "x:-1:1,y:0.5:1.5,p:0.5:2,q:0.5:2"
 
@@ -192,6 +194,49 @@ class TestBatchAndReport:
                              "--config", str(cfgfile), "--json"], capsys)
         assert code == 0
         assert json.loads(out)["matched"]["class"] == "II"
+
+    @pytest.mark.parametrize("flags,file_text", [
+        (["--tol", "nan"], None),
+        (["--tol=-1"], None),
+        (["--samples", "0"], None),
+        (["--box", "x:nan:1,y:-1:1,p:0.5:2,q:0.5:2"], None),
+        (["--box", "x:-1:1,y:-1:1,p:0.5:2,q:0.5:inf"], None),
+        (["--box", "x:-1:1,y:-1:1,p:0.5:2,q:0.5:2,z:0:1"], None),
+        ([], "tol = inf\n"),
+        ([], "samples = -3\n"),
+        ([], "box = x:-1:1,y:-inf:1,p:0.5:2,q:0.5:2\n"),
+    ])
+    def test_bad_config_is_a_config_error(self, tmp_path, capsys, flags,
+                                          file_text):
+        if file_text is not None:
+            cfgfile = tmp_path / "cfg"
+            cfgfile.write_text(file_text)
+            flags = ["--config", str(cfgfile)]
+        code = main(["report", "--ode", "q^2 + y", "--json"] + flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "config error" in captured.err
+
+    @pytest.mark.parametrize("text,box", [
+        ("(2*q*y - p^2)^(3/2)/y^2", "x:-1:1,y:0.8:1.0,p:0.5:0.7,q:1.2:2.0"),
+        ("exp(q)", "x:-1:1,y:-1:1,p:0.5:2,q:0.6:2"),
+    ])
+    def test_report_samples_only_the_config_box(self, monkeypatch, text, box):
+        # Rows whose contact branch builds b are left out: the pivots of
+        # contact._dtheta3_slots are still chosen on the default box.
+        from ode3geom.expr import zerotest
+        cfg = replace(DEFAULT_CONFIG, box=parse_box(box))
+        boxes = []
+        draw = zerotest.sample_points
+
+        def spy(c):
+            boxes.append(c.box)
+            return draw(c)
+        monkeypatch.setattr(zerotest, "sample_points", spy)
+        run_report(text, cfg)
+        assert boxes
+        assert [b for b in boxes if b != cfg.box] == []
 
     def test_console_script(self):
         proc = subprocess.run(
