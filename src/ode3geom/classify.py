@@ -64,15 +64,18 @@ def _jsonable(v):
 
 
 def is_constant(e: Expr, config: ZeroConfig = DEFAULT_CONFIG) -> bool:
-    """Rank-zero criterion: all four jet partials vanish under is_zero.
+    """Rank-zero criterion: all four jet partials vanish under
+    partial_is_zero.
 
-    The partials are tested through the Leibniz split so the quotient-rule
-    combination is never assembled symbolically."""
-    from .expr import partial_is_zero
+    The four verdicts share one gradient pass per sample point (a
+    PartialDraws over JET), so no partial is assembled symbolically."""
+    from .expr import PartialDraws, partial_is_zero
+    draws = PartialDraws(e, JET, config)
     for v in JET:
-        ver = partial_is_zero(e, v, config=config)
+        ver = partial_is_zero(e, v, config=config, draws=draws)
         if ver.status == "inconclusive":
-            raise InconclusiveError(f"constancy of invariant in {v}")
+            raise InconclusiveError(
+                f"constancy of invariant in {v}: {ver.reason}")
         if ver.is_nonzero:
             return False
     return True

@@ -411,79 +411,106 @@ def partial_tree(e: Expr, v: str) -> Expr:
 
 def eval_tree(e: Expr, env: dict, margin: float = 0.0) -> float:
     """Faithful evaluation of the tree (no normalisation)."""
-    return eval_tree_dual(e, None, env, {}, margin)[0]
+    return eval_tree_dual(e, (), env, {}, margin)[0]
 
 
-def eval_tree_dual(e: Expr, v, env: dict, cache: dict,
+def eval_tree_dual(e: Expr, vs: tuple, env: dict, cache: dict,
                    margin: float = 0.0) -> tuple:
-    """(value, d/dv value, value-mass, d-mass) without lowering the tree.
+    """(value, derivatives, value-mass, derivative masses) without lowering
+    the tree; the derivatives and their masses are sequences over the
+    variables vs (see poly.eval_rf_dual).
 
-    rf-backed leaves evaluate through the polynomial layer; tree nodes
-    combine dual numbers, so large invariant expressions never have to be
-    expanded symbolically."""
+    rf-backed leaves evaluate through the polynomial layer, once per cache
+    however often the tree holds them; tree nodes combine dual numbers, so
+    large invariant expressions never have to be expanded symbolically."""
     import math
     k = e.kind
     if k is None:
-        return _p.eval_rf_dual(e.rf, v, env, cache, margin)
+        # keyed by identity: equal RFs may hold their terms in another
+        # order, and so round differently; negative, so never an atom id
+        rf = e._rf
+        key = -id(rf)
+        out = cache.get(key)
+        if out is None:
+            out = cache[key] = _p.eval_rf_dual(rf, vs, env, cache, margin)
+        return out
+    n = len(vs)
     if k == NUM:
         c = float(e.data)
-        return c, 0.0, abs(c), 0.0
+        zero = [0.0] * n
+        return c, zero, abs(c), zero
     if k == VARK:
         try:
             val = float(env[e.data])
         except KeyError:
             raise DomainError(f"unbound variable {e.data!r}")
-        dv = 1.0 if e.data == v else 0.0
+        dv = [1.0 if w == e.data else 0.0 for w in vs]
         return val, dv, abs(val), dv
     if k == ADD:
-        tv = tdv = tm = tdm = 0.0
+        tv = tm = 0.0
+        tdv = [0.0] * n
+        tdm = [0.0] * n
         for t in e.args:
-            a, b, m, dm = eval_tree_dual(t, v, env, cache, margin)
+            a, b, m, dm = eval_tree_dual(t, vs, env, cache, margin)
             tv += a
-            tdv += b
             tm += m
-            tdm += dm
+            if n:
+                for j in range(n):
+                    tdv[j] += b[j]
+                    tdm[j] += dm[j]
         return tv, tdv, tm, tdm
     if k == MUL:
-        tv, tdv, tm, tdm = 1.0, 0.0, 1.0, 0.0
+        tv, tm = 1.0, 1.0
+        tdv = [0.0] * n
+        tdm = [0.0] * n
         for t in e.args:
-            a, b, m, dm = eval_tree_dual(t, v, env, cache, margin)
-            tv, tdv = tv * a, tv * b + tdv * a
-            tm, tdm = tm * m, tm * dm + tdm * m
+            a, b, m, dm = eval_tree_dual(t, vs, env, cache, margin)
+            if n:
+                for j in range(n):
+                    tdv[j] = tv * b[j] + tdv[j] * a
+                    tdm[j] = tm * dm[j] + tdm[j] * m
+            tv, tm = tv * a, tm * m
         return tv, tdv, tm, tdm
     if k == POW:
-        a, b, m, _dm = eval_tree_dual(e.args[0], v, env, cache, margin)
+        a, b, m, _dm = eval_tree_dual(e.args[0], vs, env, cache, margin)
         r = e.data
         if r < 0 and abs(a) <= margin * (1.0 + m):
             raise SingularPointError("power base vanishes at sample point")
         val = _p.real_power(a, r)
-        if b == 0.0:
-            return val, 0.0, abs(val), 0.0
-        if a == 0.0:
-            raise SingularPointError("zero base in dual evaluation")
-        dval = float(r) * val * b / a
-        return val, dval, abs(val), abs(dval)
+        dval = [0.0] * n
+        dmass = [0.0] * n
+        for j in range(n):
+            if b[j] == 0.0:
+                continue
+            if a == 0.0:
+                raise _p.ZeroBaseError("zero base in dual evaluation")
+            dval[j] = float(r) * val * b[j] / a
+            dmass[j] = abs(dval[j])
+        return val, dval, abs(val), dmass
     if k == FUN:
-        a, b, _m, _dm = eval_tree_dual(e.args[0], v, env, cache, margin)
+        a, b, _m, _dm = eval_tree_dual(e.args[0], vs, env, cache, margin)
         fn = e.data
         if fn == "exp":
             if a > 700:
                 raise DomainError("exp overflow")
             val = math.exp(a)
-            return val, val * b, val, abs(val * b)
+            dv = [val * d for d in b]
+            return val, dv, val, [abs(d) for d in dv]
         if fn == "log":
             if a <= 0:
                 raise DomainError("log of non-positive value")
-            return math.log(a), b / a, abs(math.log(a)), abs(b / a)
+            dv = [d / a for d in b]
+            return math.log(a), dv, abs(math.log(a)), [abs(d) for d in dv]
         if fn == "atan":
             val = math.atan(a)
-            dv = b / (1.0 + a * a)
-            return val, dv, abs(val), abs(dv)
+            dv = [d / (1.0 + a * a) for d in b]
+            return val, dv, abs(val), [abs(d) for d in dv]
         if fn == "abs":
             s = math.copysign(1.0, a) if a != 0 else 0.0
-            return abs(a), s * b, abs(a), abs(b)
+            return abs(a), [s * d for d in b], abs(a), [abs(d) for d in b]
         s = 0.0 if a == 0 else math.copysign(1.0, a)
-        return s, 0.0, 1.0, 0.0
+        zero = [0.0] * n
+        return s, zero, 1.0, zero
     raise AssertionError(k)
 
 

@@ -40,6 +40,12 @@ class SingularPointError(ArithmeticError):
     """A guard denominator vanished (or nearly vanished) at the point."""
 
 
+class ZeroBaseError(SingularPointError):
+    """A derivative needs d log u at u = 0.  Raised only where the
+    derivative of u by one of the variables is nonzero, so the point may
+    still serve the others."""
+
+
 class _CFrac(Fraction):
     """Fraction with a cached hash; instances are interned so that tuple
     comparisons hit the identity fast path."""
@@ -1194,9 +1200,13 @@ def drf(rf: RF, v: int) -> RF:
 
 # -------------------------------------------- forward-mode dual evaluation
 #
-# One evaluator for values and derivatives alike: v names the variable to
-# differentiate by, and v=None gives the value with a zero derivative.  Every
-# cache therefore maps an atom id to its (value, d value / d v) pair.
+# One evaluator for values and derivatives alike: vs is a tuple of variables
+# to differentiate by, () for the value alone, ("q",) for one partial and the
+# four jet variables for the gradient.  Derivatives come as lists over vs,
+# and each component repeats, operation for operation, what a pass by that
+# variable alone computes, so the gradient pass gives each partial bit for
+# bit.  A cache serves one vs: it maps an atom id to the atom's value and
+# nonzero derivatives, and (nodes.eval_tree_dual) a tree leaf to its result.
 
 
 def real_power(base: float, e: Coeff) -> float:
@@ -1214,115 +1224,143 @@ def real_power(base: float, e: Coeff) -> float:
     raise DomainError("even root of a negative value")
 
 
-def eval_atom_d(aid: int, v: Optional[str], env: dict, cache: dict,
+def eval_atom_d(aid: int, vs: tuple, env: dict, cache: dict,
                 margin: float) -> tuple:
-    """(value, d value / d v) for one atom."""
-    got = cache.get(aid)
-    if got is not None:
-        return got
+    """(value, its nonzero derivatives as (index in vs, d) pairs) for one
+    atom missing from cache, which receives it."""
     kind, payload = _atom_payload[aid]
     if kind == VAR:
         try:
-            out = (float(env[payload]), 1.0 if payload == v else 0.0)
+            val = float(env[payload])
         except KeyError:
             raise DomainError(f"unbound variable {payload!r}")
+        out = (val, [(vs.index(payload), 1.0)] if payload in vs else ())
     elif kind == PRIME:
         if isinstance(payload, int) and payload >= 10 ** 11:
-            out = ((payload // 10 ** 12) / (payload % 10 ** 12), 0.0)
+            out = ((payload // 10 ** 12) / (payload % 10 ** 12), ())
         else:
-            out = (float(payload), 0.0)
+            out = (float(payload), ())
     elif kind == PBASE:
-        val, dval, _dm, _vm = eval_poly_d(payload, v, env, cache, margin)
-        out = (val, dval)
+        val, dval, _dm, _vm = eval_poly_d(payload, vs, env, cache, margin)
+        out = (val, _nonzero(dval))
     else:
         fn, arg = payload
-        u, du, _m, _dm = eval_rf_dual(arg, v, env, cache, margin)
+        u, du, _m, _dm = eval_rf_dual(arg, vs, env, cache, margin)
         if fn == "exp":
             if u > 700:
                 raise DomainError("exp overflow")
             val = math.exp(u)
-            out = (val, val * du)
+            out = (val, _nonzero([val * d for d in du]))
         elif fn == "log":
             if u <= 0:
                 raise DomainError("log of non-positive value")
-            out = (math.log(u), du / u)
+            out = (math.log(u), _nonzero([d / u for d in du]))
         elif fn == "atan":
-            out = (math.atan(u), du / (1.0 + u * u))
+            out = (math.atan(u), _nonzero([d / (1.0 + u * u) for d in du]))
         elif fn == "abs":
-            out = (abs(u), math.copysign(1.0, u) * du if u != 0 else 0.0)
+            s = math.copysign(1.0, u)
+            out = (abs(u), _nonzero([s * d if u != 0 else 0.0 for d in du]))
         else:
-            out = (0.0 if u == 0 else math.copysign(1.0, u), 0.0)
+            out = (0.0 if u == 0 else math.copysign(1.0, u), ())
     cache[aid] = out
     return out
 
 
-def eval_poly_d(p: dict, v: Optional[str], env: dict, cache: dict,
+def _nonzero(ds: list) -> list:
+    """The nonzero entries of ds as (index, value) pairs."""
+    return [(j, d) for j, d in enumerate(ds) if d]
+
+
+def eval_poly_d(p: dict, vs: tuple, env: dict, cache: dict,
                 margin: float) -> tuple:
-    """(value, derivative, derivative-term mass, value-term mass)."""
+    """(value, derivatives, derivative-term masses, value-term mass)."""
+    n = len(vs)
     total = 0.0
-    dtotal = 0.0
-    dmass = 0.0
     vmass = 0.0
+    dtotal = [0.0] * n
+    dmass = [0.0] * n
     for m, c in p.items():
         val = 1.0
-        datoms = []
+        datoms = None               # index in vs -> d log(atom^e) terms
         for aid, e in m:
-            av, adv = eval_atom_d(aid, v, env, cache, margin)
-            pw = real_power(av, e)
-            val *= pw
-            if adv:
-                if av == 0.0:
-                    raise SingularPointError("zero base in dual evaluation")
-                datoms.append(float(e) * adv / av)
+            # the hot loop: cache lookup and integer power inlined
+            got = cache.get(aid)
+            av, adv = got if got is not None else \
+                eval_atom_d(aid, vs, env, cache, margin)
+            val *= av ** e if type(e) is int else real_power(av, e)
+            if not adv:
+                continue
+            if av == 0.0:
+                raise ZeroBaseError("zero base in dual evaluation")
+            if datoms is None:
+                datoms = {}
+            for j, d in adv:
+                dl = datoms.get(j)
+                if dl is None:
+                    datoms[j] = [float(e) * d / av]
+                else:
+                    dl.append(float(e) * d / av)
         term = c * val
         total += term
         vmass += abs(term)
-        if datoms:
-            dtotal += term * sum(datoms)
-            dmass += sum(abs(term * d) for d in datoms)
+        if datoms is None:
+            continue
+        for j, dl in datoms.items():
+            if len(dl) == 1:
+                # sum([d]) is d, or +0.0 for d = -0.0: a zero's sign
+                # cannot move dtotal, which is never -0.0
+                dtotal[j] += term * dl[0]
+                dmass[j] += abs(term * dl[0])
+            else:
+                dtotal[j] += term * sum(dl)
+                dmass[j] += sum(abs(term * d) for d in dl)
     return total, dtotal, dmass, vmass
 
 
-def _eval_den(rf: RF, v: Optional[str], env: dict, cache: dict,
+def _eval_den(rf: RF, vs: tuple, env: dict, cache: dict,
               margin: float) -> tuple:
-    """(value, d log / d v, its term mass) of rf's denominator; raises
+    """(value, d log / d vs, its term masses) of rf's denominator; raises
     SingularPointError where a factor vanishes relative to its mass."""
+    n = len(vs)
     dv = 1.0
-    dlog = 0.0
-    dlog_mass = 0.0
+    dlog = [0.0] * n
+    dlog_mass = [0.0] * n
     for _k, f, e in rf.den:
-        fval, fdval, _fdm, fmass = eval_poly_d(f, v, env, cache, margin)
+        fval, fdval, _fdm, fmass = eval_poly_d(f, vs, env, cache, margin)
         if abs(fval) <= margin * (1.0 + fmass):
             raise SingularPointError("denominator factor vanishes at point")
         dv *= fval ** e
-        if fdval:
-            dlog += e * fdval / fval
-            dlog_mass += abs(e * fdval / fval)
+        for j, d in enumerate(fdval):
+            if d:
+                dlog[j] += e * d / fval
+                dlog_mass[j] += abs(e * d / fval)
     if dv == 0.0 or math.isinf(dv):
         raise SingularPointError("denominator under/overflow at point")
     return dv, dlog, dlog_mass
 
 
-def eval_rf_dual(rf: RF, v: Optional[str], env: dict, cache: dict,
+def eval_rf_dual(rf: RF, vs: tuple, env: dict, cache: dict,
                  margin: float) -> tuple:
-    """(value, dvalue, value-mass, dvalue-mass) for rf at a point."""
-    dv, dlog, dlog_mass = _eval_den(rf, v, env, cache, margin)
-    nval, ndval, ndmass, nmass = eval_poly_d(rf.num, v, env, cache, margin)
+    """(value, derivatives, value-mass, derivative masses) for rf at a
+    point."""
+    dv, dlog, dlog_mass = _eval_den(rf, vs, env, cache, margin)
+    nval, ndval, ndmass, nmass = eval_poly_d(rf.num, vs, env, cache, margin)
     c = float(rf.c)
     val = c * nval / dv
     mass = abs(c) * nmass / abs(dv)
-    if v is None:               # value only: no quotient rule to apply
-        return val, 0.0, mass, 0.0
-    dval = c * ndval / dv - val * dlog
-    dmass = abs(c) * ndmass / abs(dv) + (abs(val) + mass) * dlog_mass \
-        + mass * abs(dlog)
+    if not vs:                  # value only: no quotient rule to apply
+        return val, ndval, mass, ndmass
+    dval = [c * nd / dv - val * dl for nd, dl in zip(ndval, dlog)]
+    dmass = [abs(c) * ndm / abs(dv) + (abs(val) + mass) * dlm
+             + mass * abs(dl)
+             for ndm, dlm, dl in zip(ndmass, dlog_mass, dlog)]
     return val, dval, mass, dmass
 
 
 def eval_rf_residual(rf: RF, env: dict, cache: dict, margin: float) -> float:
     """Relative residual of the numerator: |num| / (1 + sum |num terms|)."""
-    _eval_den(rf, None, env, cache, margin)
-    nv, _d, _dm, nmass = eval_poly_d(rf.num, None, env, cache, margin)
+    _eval_den(rf, (), env, cache, margin)
+    nv, _d, _dm, nmass = eval_poly_d(rf.num, (), env, cache, margin)
     return abs(nv) / (1.0 + nmass)
 
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Optional, Union
 
 from . import poly as _p
 from .nodes import Expr, eval_tree, eval_tree_dual
-from .poly import DomainError, SingularPointError
+from .poly import DomainError, SingularPointError, ZeroBaseError
 
 DEFAULT_BOX = {"x": (-1.0, 1.0), "y": (-1.0, 1.0),
                "p": (0.5, 2.0), "q": (0.5, 2.0)}
@@ -84,25 +85,24 @@ def sample_points(cfg: ZeroConfig):
 
 
 def _admissible(cfg: ZeroConfig, signed_rfs, signed_trees, measure):
-    """Yield (env, measure(env, cache)) at the first cfg.samples admissible
-    seeded points among cfg.attempts draws.
+    """Yield (env, measure(env, cache)) at each admissible point among the
+    cfg.attempts seeded draws; callers take the first cfg.samples.
 
     A point is skipped when any evaluation there is singular, out of domain
     or overflows.  At each point the abs/sgn arguments are evaluated first,
     signed RFs then signed trees; SignConsistencyError is raised when one of
     them takes a nonzero sign other than its sign at the first point where
-    all of them evaluate.  cache is the point's (value, derivative) cache
-    with v=None, which measure may share."""
+    all of them evaluate.  cache is the point's value-mode cache, which
+    measure may share."""
     signed = [(_p.eval_rf_dual, a) for a in signed_rfs]
     signed += [(eval_tree_dual, t) for t in signed_trees]
     signs: dict = {}
     gen = sample_points(cfg)
-    found = 0
     for _ in range(cfg.attempts):
         env = next(gen)
         cache: dict = {}
         try:
-            vals = [ev(arg, None, env, cache, cfg.margin)[0]
+            vals = [ev(arg, (), env, cache, cfg.margin)[0]
                     for ev, arg in signed]
             for i, val in enumerate(vals):
                 s = (val > 0) - (val < 0)
@@ -112,20 +112,17 @@ def _admissible(cfg: ZeroConfig, signed_rfs, signed_trees, measure):
             out = measure(env, cache)
         except (SingularPointError, DomainError, OverflowError):
             continue
-        found += 1
         yield env, out
-        if found >= cfg.samples:
-            return
 
 
-def _verdict(cfg: ZeroConfig, signed_rfs, signed_trees,
-             residual) -> ZeroVerdict:
-    """Zero iff every admissible sample has residual <= tol; nonzero comes
-    with the first sample past it as witness."""
+def _verdict(cfg: ZeroConfig, residuals) -> ZeroVerdict:
+    """Zero iff the first cfg.samples of residuals, (env, residual) pairs
+    at admissible points, are all <= tol; nonzero comes with the first
+    sample past it as witness."""
     worst = 0.0
     count = 0
     try:
-        for env, res in _admissible(cfg, signed_rfs, signed_trees, residual):
+        for env, res in islice(residuals, cfg.samples):
             count += 1
             if res > cfg.tol:
                 return ZeroVerdict("nonzero",
@@ -156,11 +153,12 @@ def is_zero(e: Union[Expr, int], seed: Optional[int] = None,
     if e.kind is not None and e._rf is None and _tree_weight(e) > 40:
         # large unexpanded tree: sample it without lowering
         def tree_residual(env, cache):
-            val, _dv, mass, _dm = eval_tree_dual(e, None, env, cache,
+            val, _dv, mass, _dm = eval_tree_dual(e, (), env, cache,
                                                  cfg.margin)
             return abs(val) / (1.0 + mass)
 
-        return _verdict(cfg, *_signed_parts(e), tree_residual)
+        return _verdict(cfg, _admissible(cfg, *_signed_parts(e),
+                                         tree_residual))
     rf = e.rf
     if rf.is_zero_poly():
         return ZeroVerdict("zero", reason="symbolic")
@@ -170,9 +168,9 @@ def is_zero(e: Union[Expr, int], seed: Optional[int] = None,
             return ZeroVerdict("zero", reason="symbolic")
         return ZeroVerdict("nonzero", residual=abs(float(v)),
                            reason="constant")
-    return _verdict(cfg, _p.rf_signed_atoms(rf), (),
-                    lambda env, cache: _p.eval_rf_residual(rf, env, cache,
-                                                           cfg.margin))
+    return _verdict(cfg, _admissible(
+        cfg, _p.rf_signed_atoms(rf), (),
+        lambda env, cache: _p.eval_rf_residual(rf, env, cache, cfg.margin)))
 
 
 def _tree_weight(e: Expr, cap: int = 48) -> int:
@@ -201,11 +199,12 @@ def sign_on_domain(e: Expr, seed: Optional[int] = None,
     rf = e.rf
 
     def value(env, cache):
-        return _p.eval_rf_dual(rf, None, env, cache, cfg.margin)[0]
+        return _p.eval_rf_dual(rf, (), env, cache, cfg.margin)[0]
 
     sign = 0
     count = 0
-    for _env, val in _admissible(cfg, _p.rf_signed_atoms(rf), (), value):
+    for _env, val in islice(_admissible(cfg, _p.rf_signed_atoms(rf), (),
+                                        value), cfg.samples):
         count += 1
         s = (val > 0) - (val < 0)
         if s == 0:
@@ -237,18 +236,82 @@ def _signed_parts(e: Expr):
     return rfs, trees
 
 
+class PartialDraws:
+    """The admissible seeded draws of one expression with the relative
+    residual of each of its partials by the variables vs: one gradient
+    pass per point, filled lazily as partial_is_zero reads it, so the
+    partials by vs share their points and evaluations."""
+
+    def __init__(self, e: Expr, vs: tuple,
+                 config: ZeroConfig = DEFAULT_CONFIG):
+        self.e, self.vs, self.config = e, vs, config
+        self._draws = []            # (env, residual or None per variable)
+        self._source = _admissible(config, *_signed_parts(e), self._measure)
+        self._flip = None           # the sign flip that ended the draws
+
+    def _measure(self, env, _cache):
+        # a cache of its own: the point's cache holds value-mode entries
+        return _partial_residuals(self.e, self.vs, env, self.config.margin)
+
+    def residuals(self, v: str):
+        """(env, residual of d/dv) at each draw where d/dv evaluates."""
+        j = self.vs.index(v)
+        i = 0
+        while i < len(self._draws) or self._draw():
+            env, res = self._draws[i]
+            i += 1
+            if res[j] is not None:
+                yield env, res[j]
+
+    def _draw(self) -> bool:
+        """Append the next admissible draw; False once the draws are spent,
+        and the same SignConsistencyError each time if a flip ended them."""
+        if self._flip is not None:
+            raise SignConsistencyError(self._flip)
+        try:
+            self._draws.append(next(self._source))
+        except StopIteration:
+            return False
+        except SignConsistencyError as exc:
+            self._flip = str(exc)
+            raise
+        return True
+
+
+def _partial_residuals(e: Expr, vs: tuple, env: dict, margin: float):
+    """|de/dv| / (1 + |e| + |de/dv| + its mass) for each v in vs, None
+    where d/dv cannot be evaluated at env.  A zero base in a derivative
+    sends the point through one pass per variable, so that it drops out
+    only for the variables that need that derivative."""
+    try:
+        val, dval, _m, dmass = eval_tree_dual(e, vs, env, {}, margin)
+    except ZeroBaseError:
+        if len(vs) == 1:
+            return (None,)
+        out = []
+        for v in vs:
+            try:
+                out += _partial_residuals(e, (v,), env, margin)
+            except (SingularPointError, DomainError, OverflowError):
+                out.append(None)
+        return tuple(out)
+    return tuple(abs(d) / (1.0 + abs(val) + abs(d) + dm)
+                 for d, dm in zip(dval, dmass))
+
+
 def partial_is_zero(e: Expr, v: str, seed: Optional[int] = None,
-                    config: ZeroConfig = DEFAULT_CONFIG) -> ZeroVerdict:
+                    config: ZeroConfig = DEFAULT_CONFIG,
+                    draws: Optional[PartialDraws] = None) -> ZeroVerdict:
     """Verdict for d(e)/dv == 0 on the box, sampled by forward-mode dual
-    evaluation so the derivative is never assembled symbolically."""
-    cfg = config if seed is None else config.with_seed(seed)
+    evaluation so the derivative is never assembled symbolically.
 
-    def residual(env, _cache):
-        # a cache of its own: the point's cache holds v=None derivatives
-        val, dval, _m, dmass = eval_tree_dual(e, v, env, {}, cfg.margin)
-        return abs(dval) / (1.0 + abs(val) + abs(dval) + dmass)
-
-    return _verdict(cfg, *_signed_parts(e), residual)
+    draws, a PartialDraws of e with v among its variables, lets several
+    partials share one gradient pass per point, and its config stands for
+    seed and config; by default the call draws for v alone."""
+    if draws is None:
+        cfg = config if seed is None else config.with_seed(seed)
+        draws = PartialDraws(e, (v,), cfg)
+    return _verdict(draws.config, draws.residuals(v))
 
 
 def eval_at(e: Expr, pt: Union[JetPoint, dict], margin: float = 1e-12) -> float:
@@ -350,9 +413,10 @@ def values_on_samples(e: Expr, config: ZeroConfig = DEFAULT_CONFIG,
     cfg = config if n is None else replace(config, samples=n)
 
     def value(env, cache):
-        val, _dv, mass, _dm = eval_tree_dual(e, None, env, cache, cfg.margin)
+        val, _dv, mass, _dm = eval_tree_dual(e, (), env, cache, cfg.margin)
         if val != 0.0 and abs(val) < 1e-9 * mass:
             raise SingularPointError("ill-conditioned evaluation point")
         return val
 
-    return [val for _env, val in _admissible(cfg, *_signed_parts(e), value)]
+    return [val for _env, val in islice(
+        _admissible(cfg, *_signed_parts(e), value), cfg.samples)]

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from ode3geom.classify import JET
 from ode3geom.expr import poly
 from ode3geom.expr import (DEFAULT_CONFIG, DomainError, JetPoint, ParseError,
-                           SignConsistencyError, SingularPointError,
-                           ZeroConfig, ZeroVerdict, abs_, add, atan, eval_at,
-                           exp, is_zero, log, normalize, num, parse, partial,
-                           partial_is_zero, pow_, sgn, sign_on_domain,
-                           values_on_samples, var)
+                           PartialDraws, SignConsistencyError,
+                           SingularPointError, ZeroConfig, ZeroVerdict, abs_,
+                           add, atan, eval_at, eval_tree_dual, exp, is_zero,
+                           log, normalize, num, parse, partial,
+                           partial_is_zero, pow_, sample_points, sgn,
+                           sign_on_domain, values_on_samples, var)
 
 Q = var("q")
 P = var("p")
@@ -237,6 +239,11 @@ class TestSamplerContract:
         assert is_zero(e) == ZeroVerdict("inconclusive", reason=FLIP)
         assert partial_is_zero(e, "q") == ZeroVerdict("inconclusive",
                                                       reason=FLIP)
+        # shared draws end in the flip for every partial that reaches it
+        draws = PartialDraws(e, ("p", "q"))
+        for v in ("p", "q"):
+            assert partial_is_zero(e, v, draws=draws) == ZeroVerdict(
+                "inconclusive", reason=FLIP)
 
     def test_sign_flip_is_inconclusive_on_the_tree_path(self):
         from ode3geom.expr.zerotest import _tree_weight
@@ -266,6 +273,30 @@ class TestSamplerContract:
             "inconclusive", reason="only 7 admissible sample points")
         assert len(values_on_samples(e, cfg)) == 7
         assert partial_is_zero(e, "q").is_zero
+
+    def test_derivative_singular_point_drops_out_for_its_variable(self):
+        # d/dx of x^2 needs 2*x'/x at x = 0: every point fails for x only
+        from ode3geom.expr.zerotest import DEFAULT_BOX
+        cfg = ZeroConfig(box=dict(DEFAULT_BOX, x=(0.0, 0.0)))
+        e = parse("x^2*y + p")
+        alone = {v: partial_is_zero(e, v, config=cfg) for v in JET}
+        assert alone["x"] == ZeroVerdict(
+            "inconclusive", reason="only 0 admissible sample points")
+        assert alone["y"] == alone["q"] == ZeroVerdict("zero",
+                                                       reason="sampled")
+        assert alone["p"].is_nonzero and alone["p"].witness.x == 0.0
+        assert alone["p"].witness.y == -0.9499784895546661
+        # one gradient pass per point gives the same four verdicts
+        draws = PartialDraws(e, JET, cfg)
+        assert {v: partial_is_zero(e, v, draws=draws) for v in JET} == alone
+        # and is_constant says why it cannot decide
+        from ode3geom.classify import is_constant, run_classifier
+        res = run_classifier("point",
+                             lambda _ode, config: is_constant(e, config),
+                             None, cfg)
+        assert res.inconclusive and res.row == "general"
+        assert res.diagnostics == {"reason": "constancy of invariant in x: "
+                                             "only 0 admissible sample points"}
 
     def test_unbound_variable_is_a_domain_error(self):
         with pytest.raises(DomainError):
@@ -449,3 +480,52 @@ def _random_expr(rng, depth=3, rational_only=False):
                     rng.choice([2, 3, -1, -2]))
     fn = rng.choice([exp, atan])
     return fn(_random_expr(rng, depth - 1, rational_only))
+
+
+class TestGradient:
+    """The vector-mode dual pass against sympy, and against itself by one
+    variable and in value mode."""
+
+    TEXTS = [
+        "exp(x*q) + log(p + y^2)*atan(q - x)",
+        "abs(y - 2)*sgn(p) + q^(3/2)*p^(-1/3)",
+        "(x^2*q + 3*y)/(p^2 + y + 3)",
+        "(1 + p^2 + q^2)^(3/2)*y - x",      # a pbase atom once normalised
+        "sqrt(q^2 + x^2 + 1)/(p*q) + exp(atan(y*p))",
+    ]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_matches_sympy_diff(self, text):
+        sympy = pytest.importorskip("sympy")
+        syms = {v: sympy.Symbol(v, real=True) for v in JET}
+        oracle = sympy.parse_expr(
+            text.replace("^", "**"),
+            local_dict=dict(syms, abs=sympy.Abs, sgn=sympy.sign,
+                            atan=sympy.atan, sqrt=sympy.sqrt))
+        # d sgn(u) is a delta at u = 0, which no sample point hits
+        grads = [sympy.lambdify(list(syms.values()), sympy.diff(oracle, s)
+                                .replace(sympy.DiracDelta, lambda *_: 0))
+                 for s in syms.values()]
+        e = parse(text)
+        for tree in (e, normalize(e)):
+            for env, _ in zip(sample_points(DEFAULT_CONFIG), range(8)):
+                _val, dval, _m, _dm = eval_tree_dual(tree, JET, env, {},
+                                                     1e-12)
+                args = [env[v] for v in JET]
+                for got, fn in zip(dval, grads):
+                    assert got == pytest.approx(float(fn(*args)), rel=1e-9,
+                                                abs=1e-12)
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_each_component_is_the_one_variable_pass(self, text):
+        e = parse(text)
+        for tree in (e, normalize(e)):
+            for env, _ in zip(sample_points(DEFAULT_CONFIG), range(8)):
+                val, dval, mass, dmass = eval_tree_dual(tree, JET, env, {},
+                                                        1e-12)
+                for j, v in enumerate(JET):
+                    one = eval_tree_dual(tree, (v,), env, {}, 1e-12)
+                    assert one == (val, [dval[j]], mass, [dmass[j]])
+                assert eval_tree_dual(tree, (), env, {}, 1e-12) \
+                    == (val, [], mass, [])
+                assert eval_at(tree, env) == val
