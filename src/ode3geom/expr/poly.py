@@ -122,9 +122,20 @@ def prime_atom(p: int) -> int:
 
 # ---------------------------------------------------------------- monomials
 
-# A monomial: tuple of (atom_id, exponent), sorted by atom id; exponents are
-# ints when integral, Fractions otherwise.
+# A monomial: tuple of (atom_id, exponent), strictly increasing in atom id,
+# with no zero exponent; exponents are ints when integral, Fractions
+# otherwise.  mono_mul's merge and exact division rely on that order, so a
+# monomial assembled from parts in any other order goes through mono_from.
 MONE: tuple = ()
+
+
+def mono_from(entries) -> tuple:
+    """The monomial of (atom_id, exponent) entries given in any order:
+    sorted by atom id, repeated ids merged, zero exponents dropped."""
+    acc: dict = {}
+    for aid, e in entries:
+        acc[aid] = acc.get(aid, 0) + e
+    return tuple((aid, _exp_norm(e)) for aid, e in sorted(acc.items()) if e)
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
@@ -304,7 +315,7 @@ def poly_mono_content(a: dict) -> tuple:
                     common[aid] = e
         if not common:
             return MONE
-    return tuple(sorted(common.items())) if common else MONE
+    return mono_from(common.items()) if common else MONE
 
 
 _DIV_GUARD = 20000
@@ -461,7 +472,7 @@ def _frac_pow_const_parts(c: Fraction, e: Fraction) -> tuple:
         coeff *= Fraction(p) ** n
         if rem:
             entries.append((prime_atom(p), rem))
-    return coeff, tuple(entries)
+    return coeff, mono_from(entries)
 
 
 # ------------------------------------------------------------ canonical terms
@@ -517,7 +528,7 @@ def _canon_term(mono: tuple, coeff: Fraction):
                     entries.append((aid, rem))
                 continue
             entries.append((aid, e))
-    return coeff, tuple(sorted(entries)), extras
+    return coeff, mono_from(entries), extras
 
 
 def _needs_canon(num: dict) -> bool:
@@ -766,7 +777,7 @@ def _make(c: Fraction, num: dict, den: tuple) -> "RF":
             if e < 0 and e < worst.get(aid, 0):
                 worst[aid] = e
     if worst:
-        shift = tuple(sorted((aid, _exp_norm(-e)) for aid, e in worst.items()))
+        shift = mono_from((aid, -e) for aid, e in worst.items())
         num = poly_mul(num, {shift: 1})
         den = _den_mul(den, tuple(
             (poly_key({((aid, _exp_norm(-e)),): 1}),
@@ -800,7 +811,7 @@ def _make(c: Fraction, num: dict, den: tuple) -> "RF":
                 fp = {((aid, ee),): 1}
                 out_den.append((poly_key(fp), fp, 1))
         if inv:
-            num = poly_mul(num, {tuple(inv): 1})
+            num = poly_mul(num, {mono_from(inv): 1})
     den = tuple(sorted(out_den))
     # cancel multi-term factors by exact division.  One pass suffices: a
     # factor that does not divide num divides no quotient num/g either.
@@ -927,14 +938,14 @@ def _frac_power_poly(p: dict, e: Fraction) -> RF:
             aid = pbase_atom({m: -1})
             return _frac_power_const(Fraction(-cc), e) * rf_atom(aid, e)
         out = _frac_power_const(_as_frac(cc), e)
-        mono = tuple(sorted((aid, _exp_norm(ee * e)) for aid, ee in m))
+        mono = mono_from((aid, ee * e) for aid, ee in m)
         return out * _make(Fraction(1), {mono: 1}, ())
     mc = poly_mono_content(p)
     if mc:
         # distribute over the monomial content (odd-root convention)
         inv = tuple((aid, _exp_norm(-ee)) for aid, ee in mc)
         phat = poly_mul(p, {inv: 1})
-        mono = tuple(sorted((aid, _exp_norm(ee * e)) for aid, ee in mc))
+        mono = mono_from((aid, ee * e) for aid, ee in mc)
         return _make(Fraction(1), {mono: 1}, ()) * _frac_power_poly(phat, e)
     cc, prim = poly_primitive(p)
     if cc < 0 and e.denominator % 2 == 0:

@@ -89,11 +89,12 @@ def _admissible(cfg: ZeroConfig, signed_rfs, signed_trees, measure):
     cfg.attempts seeded draws; callers take the first cfg.samples.
 
     A point is skipped when any evaluation there is singular, out of domain
-    or overflows.  At each point the abs/sgn arguments are evaluated first,
-    signed RFs then signed trees; SignConsistencyError is raised when one of
-    them takes a nonzero sign other than its sign at the first point where
-    all of them evaluate.  cache is the point's value-mode cache, which
-    measure may share."""
+    or overflows, or when measure returns a non-finite float.  At each
+    point the abs/sgn arguments are evaluated first, signed RFs then signed
+    trees; SignConsistencyError is raised when one of them takes a nonzero
+    sign other than its sign at the first point where all of them
+    evaluate.  cache is the point's value-mode cache, which measure may
+    share."""
     signed = [(_p.eval_rf_dual, a) for a in signed_rfs]
     signed += [(eval_tree_dual, t) for t in signed_trees]
     signs: dict = {}
@@ -111,6 +112,8 @@ def _admissible(cfg: ZeroConfig, signed_rfs, signed_trees, measure):
                         "abs/sgn argument changes sign on the sample box")
             out = measure(env, cache)
         except (SingularPointError, DomainError, OverflowError):
+            continue
+        if type(out) is float and not math.isfinite(out):
             continue
         yield env, out
 
@@ -280,9 +283,10 @@ class PartialDraws:
 
 def _partial_residuals(e: Expr, vs: tuple, env: dict, margin: float):
     """|de/dv| / (1 + |e| + |de/dv| + its mass) for each v in vs, None
-    where d/dv cannot be evaluated at env.  A zero base in a derivative
-    sends the point through one pass per variable, so that it drops out
-    only for the variables that need that derivative."""
+    where d/dv cannot be evaluated at env or its residual is not finite.
+    A zero base in a derivative sends the point through one pass per
+    variable, so that it drops out only for the variables that need that
+    derivative."""
     try:
         val, dval, _m, dmass = eval_tree_dual(e, vs, env, {}, margin)
     except ZeroBaseError:
@@ -295,8 +299,9 @@ def _partial_residuals(e: Expr, vs: tuple, env: dict, margin: float):
             except (SingularPointError, DomainError, OverflowError):
                 out.append(None)
         return tuple(out)
-    return tuple(abs(d) / (1.0 + abs(val) + abs(d) + dm)
-                 for d, dm in zip(dval, dmass))
+    out = (abs(d) / (1.0 + abs(val) + abs(d) + dm)
+           for d, dm in zip(dval, dmass))
+    return tuple(r if math.isfinite(r) else None for r in out)
 
 
 def partial_is_zero(e: Expr, v: str, seed: Optional[int] = None,

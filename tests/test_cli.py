@@ -186,6 +186,24 @@ class TestBatchAndReport:
         assert [l["input"] for l in lines] == ["0", "exp(q)"]
         assert lines[1]["contact"]["row"] == "VI"
 
+    def test_batch_order_keeps_the_bytes(self, tmp_path):
+        """q^(7/4) prints the same line after exp(q) as before it (the
+        batch once printed I1 = 1.1547005383792515 in one order and ...512
+        in the other).  Batch order can still move bytes: at seeds 1 and 2
+        the pair q^(7/4), row V differs in the last digits of I1-I4."""
+        lines = {}
+        for order in (["exp(q)", "q^(7/4)"], ["q^(7/4)", "exp(q)"]):
+            batch = tmp_path / "odes.txt"
+            batch.write_text("\n".join(order) + "\n")
+            proc = subprocess.run(
+                [sys.executable, "-m", "ode3geom.cli", "report", "--batch",
+                 str(batch)], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            for line in proc.stdout.splitlines():
+                lines.setdefault(json.loads(line)["input"], set()).add(line)
+        assert len(lines["q^(7/4)"]) == 1
+        assert len(lines["exp(q)"]) == 1
+
     def test_config_file(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text("seed = 7\ntol = 1e-9\n"

@@ -1,4 +1,5 @@
 """Expression core: parsing, printing, calculus, zero testing."""
+import math
 import random
 from fractions import Fraction
 
@@ -297,6 +298,33 @@ class TestSamplerContract:
         assert res.inconclusive and res.row == "general"
         assert res.diagnostics == {"reason": "constancy of invariant in x: "
                                              "only 0 admissible sample points"}
+
+    def test_non_finite_sample_is_inadmissible(self):
+        # for q > 709.8/601 both products overflow and the value is
+        # inf - inf = nan: such a point is skipped, like an overflow
+        from ode3geom.expr.zerotest import DEFAULT_BOX
+        starved = ZeroVerdict("inconclusive",
+                              reason="only 0 admissible sample points")
+        e = parse("exp(300*q)*exp(301*q) - exp(300*q)*exp(302*q)")
+        cfg = ZeroConfig(box=dict(DEFAULT_BOX, q=(1.5, 2.0)))
+        assert is_zero(e, config=cfg) == starved
+        draws = PartialDraws(e, JET, cfg)
+        assert all(partial_is_zero(e, v, draws=draws) == starved
+                   for v in JET)
+        vals = values_on_samples(e)
+        assert len(vals) == 16 and all(math.isfinite(v) for v in vals)
+        # here the value is finite but d/dq is inf - inf: a non-finite
+        # residual drops the point for that variable alone
+        e = parse("exp(350*q)*exp(351*q) - exp(350*q)*exp(352*q)")
+        cfg = ZeroConfig(box=dict(DEFAULT_BOX, q=(1.004, 1.01)))
+        assert is_zero(e, config=cfg).is_nonzero
+        draws = PartialDraws(e, JET, cfg)
+        got = {v: partial_is_zero(e, v, draws=draws) for v in JET}
+        assert got == {"x": ZeroVerdict("zero", reason="sampled"),
+                       "y": ZeroVerdict("zero", reason="sampled"),
+                       "p": ZeroVerdict("zero", reason="sampled"),
+                       "q": starved}
+        assert partial_is_zero(e, "q", config=cfg) == starved
 
     def test_unbound_variable_is_a_domain_error(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,122 @@
+"""Monomials stay sorted by atom id whatever order the atoms were interned in.
+
+Atom ids follow first use, so the order of the ids depends on what ran
+earlier in the process.  mono_mul's merge and exact division rely on every
+monomial being strictly increasing in atom id, with no zero exponent.  Each
+test here runs a script in a fresh interpreter, so that it controls the
+interning order, and wraps RF construction there to count the monomials that
+break the order."""
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import ode3geom
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(ode3geom.__file__)))
+
+# Prefix of every script: counts monomials of constructed RFs (numerator and
+# denominator factors) that are not strictly increasing in atom id or carry
+# a zero exponent.
+CHECKER = """
+import json
+from ode3geom.expr import poly
+
+violations = []
+_raw = poly.RF._raw
+
+
+def _checked(c, num, den):
+    for f in [num] + [f for _k, f, _e in den]:
+        for m in f:
+            ids = [aid for aid, _e in m]
+            if any(a >= b for a, b in zip(ids, ids[1:])) \\
+                    or not all(e for _a, e in m):
+                violations.append(repr(m))
+    return _raw(c, num, den)
+
+
+poly.RF._raw = staticmethod(_checked)
+"""
+
+
+def run_fresh(script: str) -> dict:
+    """Run CHECKER + script in a fresh interpreter; its last stdout line is
+    a JSON object."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", CHECKER + script],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_primes_interned_out_of_numeric_order():
+    got = run_fresh("""
+from ode3geom.expr import normalize, parse
+for p in (37, 5, 13, 3):
+    poly.prime_atom(p)
+out = {text: str(normalize(parse(text))) for text in (
+    "185^(1/2) - 5^(1/2)*37^(1/2)",
+    "185^(1/2)/(5^(1/2)*37^(1/2))",
+    "(5/37)^(1/2)*(37/5)^(1/2)",
+    "185^(1/3)*185^(2/3)",
+    "(185*q)^(1/2) - 5^(1/2)*37^(1/2)*q^(1/2)",
+    "195^(1/4)*39^(3/4) - 39*5^(1/4)")}
+print(json.dumps({"out": out, "violations": violations[:5]}))
+""")
+    assert got["out"] == {
+        "185^(1/2) - 5^(1/2)*37^(1/2)": "0",
+        "185^(1/2)/(5^(1/2)*37^(1/2))": "1",
+        "(5/37)^(1/2)*(37/5)^(1/2)": "1",
+        "185^(1/3)*185^(2/3)": "185",
+        "(185*q)^(1/2) - 5^(1/2)*37^(1/2)*q^(1/2)": "0",
+        "195^(1/4)*39^(3/4) - 39*5^(1/4)": "0"}
+    assert got["violations"] == []
+
+
+@pytest.fixture(scope="module")
+def cold_row_v():
+    """One cold report of contact row V, with the 24 structure coefficients
+    of each reduced coframe it builds (the input's and the
+    representative's) as their numerator term counts."""
+    return run_fresh("""
+from ode3geom import cli, contact
+from ode3geom.expr import DEFAULT_CONFIG
+
+reduced = []
+_inner = contact.invariants_reduced
+
+
+def _spy(ode, config=DEFAULT_CONFIG):
+    red = _inner(ode, config)
+    reduced.append(red)
+    return red
+
+
+contact.invariants_reduced = _spy
+report, code = cli.run_report("(q^2+1)^(3/2)*exp(atan(q)/2)", DEFAULT_CONFIG)
+print(json.dumps({
+    "code": code, "row": report["contact"]["row"],
+    "terms": [{k: len(ex.rf.num) for k, ex in red.slots.items()}
+              for red in reduced],
+    "violations": len(violations), "first": violations[:5]}))
+""")
+
+
+def test_cold_row_v_builds_only_sorted_monomials(cold_row_v):
+    assert cold_row_v["code"] == 0 and cold_row_v["row"] == "V"
+    assert cold_row_v["violations"] == 0, cold_row_v["first"]
+
+
+def test_cold_row_v_structure_coefficients_stay_small(cold_row_v):
+    """A structural bound, not a wall-clock one: with monomials out of
+    order, exact division stops cancelling and these coefficients grew to
+    up to 910 numerator terms; with sorted monomials none has more than 4."""
+    terms = cold_row_v["terms"]
+    assert len(terms) == 2 and all(len(t) == 24 for t in terms)
+    swollen = {k: n for t in terms for k, n in t.items() if n > 20}
+    assert not swollen

@@ -119,3 +119,17 @@ class TestClassify:
             assert c.dimension is not None
             if p.dimension is not None:
                 assert p.dimension <= c.dimension
+
+    def test_nan_sample_leaves_the_row(self):
+        # pullback 7 of criterion 7's battery at seed 11: one sample of a
+        # constant invariant evaluates to nan, and it must not count as a
+        # value (it once spread the constant and gave row "general")
+        from dataclasses import replace
+
+        from ode3geom.expr import DEFAULT_CONFIG
+        from ode3geom.transform import pullback_ode, random_point_transforms
+        cfg = replace(DEFAULT_CONFIG, seed=11)
+        t = random_point_transforms(20260808, 8)[7]
+        res = classify_point(pullback_ode(Ode3.from_text("exp(q)"), t, cfg),
+                             cfg)
+        assert res.row == "VI"
