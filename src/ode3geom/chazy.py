@@ -14,8 +14,9 @@ from fractions import Fraction as F3
 from typing import Callable, Optional
 
 from .classify import exact_const, require, snap_rational
-from .expr import (DEFAULT_CONFIG, Expr, JetPoint, ZeroConfig, eval_at,
-                   is_zero, normalize, num, pow_, var)
+from .expr import (DEFAULT_CONFIG, Expr, JetPoint, SingularPointError,
+                   ZeroConfig, abs_, eval_at, is_zero, normalize, num, pow_,
+                   var)
 from .forms import Coframe
 from .jet import Ode3, VectorField, klmw, pd, per_ode, total_derivative
 from .point import reduced_point_coframe
@@ -51,17 +52,19 @@ class ChazyClass:
         return Ode3(normalize(F), provenance=f"Chazy {self.id}")
 
 
+_FIXED = {                  # kappa, lambda, mu, nu
+    "II": (-2, -2, 0, 0),
+    "IV": (-3, -3, -3, 0),
+    "V": (-2, -4, -2, 0),
+    "VI": (-1, -5, -1, 0),
+    "VII": (-1, -2, 2, 0),
+}
+FIXED_CLASSES = tuple(_FIXED)
+
+
 def chazy_class(id_: str, sigma: Optional[int] = None) -> ChazyClass:
-    if id_ == "II":
-        return ChazyClass("II", F3(-2), F3(-2), F3(0), F3(0))
-    if id_ == "IV":
-        return ChazyClass("IV", F3(-3), F3(-3), F3(-3), F3(0))
-    if id_ == "V":
-        return ChazyClass("V", F3(-2), F3(-4), F3(-2), F3(0))
-    if id_ == "VI":
-        return ChazyClass("VI", F3(-1), F3(-5), F3(-1), F3(0))
-    if id_ == "VII":
-        return ChazyClass("VII", F3(-1), F3(-2), F3(2), F3(0))
+    if id_ in _FIXED:
+        return ChazyClass(id_, *map(F3, _FIXED[id_]))
     if id_ == "XI":
         if sigma is None or not admissible_sigma(sigma):
             raise ValueError("XI needs an admissible integer sigma")
@@ -72,9 +75,6 @@ def chazy_class(id_: str, sigma: Optional[int] = None) -> ChazyClass:
 
 def admissible_sigma(sigma: int) -> bool:
     return sigma >= 2 and sigma % 6 != 0 and sigma != 11
-
-
-FIXED_CLASSES = ("II", "IV", "V", "VI", "VII")
 
 
 # ------------------------------------------------------------ preconditions
@@ -111,8 +111,8 @@ def _pq(ode: Ode3) -> tuple:
 
 
 def chazy_PQ(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> tuple:
-    """(P, Q) once both are nonzero on config's box, which the reduction
-    needs."""
+    """(P, Q) once both are nonzero on config's box: the one zero test of
+    P and Q, which the reduction and the builders below need."""
     P, Q = _pq(ode)
     if require(is_zero(P, config=config), "P"):
         raise NotReducibleError("P = 0: not reducible to a Chazy class")
@@ -121,9 +121,10 @@ def chazy_PQ(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> tuple:
     return P, Q
 
 
-def chazy_tau(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> Expr:
+@per_ode
+def chazy_tau(ode: Ode3) -> Expr:
     """tau recovered from Q_y + (1/3) Q F_qp - 2 tau P^2 = 0."""
-    P, Q = chazy_PQ(ode, config)
+    P, Q = _pq(ode)
     return normalize((pd(Q, "y") + F3(1, 3) * Q * pd(ode.F, "q", "p"))
                      / (2 * P * P))
 
@@ -131,8 +132,8 @@ def chazy_tau(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> Expr:
 # --------------------------------------------------------- frame and coframe
 
 
-def chazy_coframe(ode: Ode3, tau: Expr,
-                  config: ZeroConfig = DEFAULT_CONFIG) -> Coframe:
+@per_ode
+def chazy_coframe(ode: Ode3) -> Coframe:
     """The reduced fibre-preserving coframe on J^2.
 
     Group parameters: u1 = 2P^2/Q and u3 = -4P^3/Q^2, with
@@ -142,7 +143,8 @@ def chazy_coframe(ode: Ode3, tau: Expr,
     remaining parameters follow the standard reduction relations
     (theta^4 = u7 omega^4)."""
     F = ode.F
-    P, Q = chazy_PQ(ode, config)
+    P, Q = _pq(ode)
+    tau = chazy_tau(ode)
     u1 = normalize(2 * P * P / Q)
     u3 = normalize(-4 * P ** 3 / (Q * Q))
     S = normalize(pd(F, "q") - var("p") * pd(F, "q", "p")
@@ -152,14 +154,13 @@ def chazy_coframe(ode: Ode3, tau: Expr,
     return reduced_point_coframe(ode, u1, u2, u3, num(0))
 
 
-def chazy_frame(ode: Ode3, tau: Expr,
-                config: ZeroConfig = DEFAULT_CONFIG) -> tuple:
+@per_ode
+def chazy_frame(ode: Ode3) -> tuple:
     """The frame dual to the reduced coframe.
 
     X4 = -(2P/Q) D; X1..X3 are obtained by inverting the coframe, which
     is the choice consistent with the generating-invariant relations."""
-    cof = chazy_coframe(ode, tau, config)
-    (t1, t2, t3, t4) = cof.theta
+    (t1, t2, t3, t4) = chazy_coframe(ode).theta
     u1 = t1.cy
     u2, u3 = t2.cy, t2.cp
     u4, u5, u6 = t3.cy, t3.cp, t3.cq
@@ -180,30 +181,31 @@ def chazy_frame(ode: Ode3, tau: Expr,
 
 @dataclass(frozen=True)
 class ChazyInvariants:
+    """What the recognition needs that does not depend on the class."""
     a: Expr
-    a4: Expr
+    a4: Expr             # X4(a)
     b: Expr
     c: Expr
-    tau: Expr
-    cond40: dict          # verdicts of the residual reduction conditions
-    frame: tuple
+    Xa: tuple            # X1(a), X2(a), X3(a)
+    Xa4: tuple           # X1(a4) .. X4(a4)
+    conditions: dict     # residuals of the reduction conditions c1, c2, c3
+    c5: Expr             # c5 without its class term (2/3 - lambda/kappa) P
+    P: Expr
 
 
-def chazy_invariants(ode: Ode3, lam_over_kappa: Optional[F3] = None,
-                     config: ZeroConfig = DEFAULT_CONFIG) -> ChazyInvariants:
-    """The basic invariants a, a4 = X4(a), b, c and the residual
-    reduction conditions (the fourth of which defines tau)."""
+@per_ode
+def chazy_invariants(ode: Ode3) -> ChazyInvariants:
+    """The basic invariants a, a4 = X4(a), b, c, their frame derivatives
+    and the residual reduction conditions (the fourth defines tau)."""
     F = ode.F
-    inv = klmw(ode)
-    K, W = inv.K, inv.W
-    P, Q = chazy_PQ(ode, config)
+    K, _L, _M, W = klmw(ode)
+    P, Q = _pq(ode)
     Fq = pd(F, "q")
     Fqp = pd(F, "q", "p")
     Wq, Wp = pd(W, "q"), pd(W, "p")
     DP = total_derivative(P, ode)
     DQ = total_derivative(Q, ode)
     DWq = total_derivative(Wq, ode)
-    tau = chazy_tau(ode, config)
 
     a = normalize(P / Wq
                   + (4 * DP - F3(2, 3) * Fq * P - 2 * P * Wp / Wq) / Q
@@ -216,37 +218,40 @@ def chazy_invariants(ode: Ode3, lam_over_kappa: Optional[F3] = None,
                       + 10 * Wp * Wp / (Wq * Wq)) / (Q * Q)) * P * P)
     c = normalize(8 * P ** 3 * W / Q ** 3)
 
-    frame = chazy_frame(ode, tau, config)
+    frame = chazy_frame(ode)
     a4 = normalize(frame[3](a))
 
     Wqy = pd(W, "q", "y")
-    cond40 = {
-        "c1": is_zero(normalize(2 * pd(W, "p", "p") - Wqy + Fqp * Wq),
-                      config=config),
-        "c2": is_zero(normalize(Wq * DP - P * DWq), config=config),
-        "c3": is_zero(normalize(pd(P, "y") + F3(1, 3) * P * Fqp),
-                      config=config),
+    conditions = {
+        "c1": normalize(2 * pd(W, "p", "p") - Wqy + Fqp * Wq),
+        "c2": normalize(Wq * DP - P * DWq),
+        "c3": normalize(pd(P, "y") + F3(1, 3) * P * Fqp),
     }
-    if lam_over_kappa is not None:
-        c5 = normalize(pd(K, "p") + F3(1, 2) * pd(F, "q", "y")
-                       - F3(5, 36) * Fq * Fqp
-                       + (Fqp * DWq - F3(1, 12) * Fq * Wqy
-                          + F3(1, 2) * total_derivative(Wqy, ode)) / Wq
-                       - F3(3, 4) * Wqy * DWq / (Wq * Wq)
-                       + (F3(2, 3) - lam_over_kappa) * P)
-        cond40["c5"] = is_zero(c5, config=config)
-    return ChazyInvariants(a=a, a4=a4, b=b, c=c, tau=tau, cond40=cond40,
-                           frame=frame)
+    c5 = normalize(pd(K, "p") + F3(1, 2) * pd(F, "q", "y")
+                   - F3(5, 36) * Fq * Fqp
+                   + (Fqp * DWq - F3(1, 12) * Fq * Wqy
+                      + F3(1, 2) * total_derivative(Wqy, ode)) / Wq
+                   - F3(3, 4) * Wqy * DWq / (Wq * Wq))
+    return ChazyInvariants(
+        a=a, a4=a4, b=b, c=c,
+        Xa=tuple(normalize(X(a)) for X in frame[:3]),
+        Xa4=tuple(normalize(X(a4)) for X in frame),
+        conditions=conditions, c5=c5, P=P)
 
 
-def syzygy_residuals(ode: Ode3, cls: ChazyClass,
-                     inv: ChazyInvariants) -> dict:
+def c5_residual(cls: ChazyClass, inv: ChazyInvariants) -> Expr:
+    """The fourth reduction condition, which pins lambda/kappa."""
+    return normalize(inv.c5 + (F3(2, 3) - cls.lam_over_kappa) * inv.P)
+
+
+def syzygy_residuals(cls: ChazyClass, inv: ChazyInvariants) -> dict:
     """Residuals of the generating-invariant relations for the class."""
     t = cls.tau
     lk = cls.lam_over_kappa
     nk3 = cls.nu_over_kappa3
     a, a4, b, c = inv.a, inv.a4, inv.b, inv.c
-    X1, X2, X3, X4 = inv.frame
+    X1a, X2a, X3a = inv.Xa
+    X1a4, X2a4, X3a4, X4a4 = inv.Xa4
     res = {}
     res["b"] = b - ((F3(1, 3) - lk) / t * a - 1 / (2 * t)
                     + (F3(1, 3) - lk) / (12 * t * t))
@@ -255,18 +260,18 @@ def syzygy_residuals(ode: Ode3, cls: ChazyClass,
                     + (-1 / t + (lk - F3(7, 6)) / (6 * t * t)) * a
                     - 1 / (2 * t * t)
                     + (lk - 144 * nk3 + F3(3, 2)) / (36 * t ** 3))
-    res["a1"] = X1(a) - (-2 * t * a - F3(1, 6))
-    res["a2"] = X2(a) - num(t)
-    res["a3"] = X3(a)
-    res["a41"] = X1(a4) - (-3 * t * a4 + 2 * t * a * a
-                           + (lk - F3(1, 6)) * a
-                           + (lk - F3(1, 3)) / (12 * t) + F3(1, 2))
-    res["a42"] = X2(a4) - (-4 * t * a - F3(1, 6))
-    res["a43"] = X3(a4) - num(t)
-    res["a44"] = X4(a4) - (-7 * a4 * a - a4 / (6 * t) - 6 * a ** 3
-                           + (lk - 1) / t * a * a
-                           + (1 / t + (lk - F3(1, 2)) / (6 * t * t)) * a
-                           + 1 / (6 * t * t) + (nk3 - F3(1, 72)) / t ** 3)
+    res["a1"] = X1a - (-2 * t * a - F3(1, 6))
+    res["a2"] = X2a - num(t)
+    res["a3"] = X3a
+    res["a41"] = X1a4 - (-3 * t * a4 + 2 * t * a * a
+                         + (lk - F3(1, 6)) * a
+                         + (lk - F3(1, 3)) / (12 * t) + F3(1, 2))
+    res["a42"] = X2a4 - (-4 * t * a - F3(1, 6))
+    res["a43"] = X3a4 - num(t)
+    res["a44"] = X4a4 - (-7 * a4 * a - a4 / (6 * t) - 6 * a ** 3
+                         + (lk - 1) / t * a * a
+                         + (1 / t + (lk - F3(1, 2)) / (6 * t * t)) * a
+                         + 1 / (6 * t * t) + (nk3 - F3(1, 72)) / t ** 3)
     return {k: normalize(v) for k, v in res.items()}
 
 
@@ -280,7 +285,6 @@ class ChazyReport:
     Q: Optional[Expr] = None
     tau: Optional[object] = None
     matched: Optional[ChazyClass] = None
-    invariants: Optional[dict] = None
     cond40: dict = field(default_factory=dict)
     syzygy_status: dict = field(default_factory=dict)
     reason: str = ""
@@ -299,11 +303,10 @@ def chazy_classify(ode: Ode3,
         report.reason = str(exc)
         return report
     report.P, report.Q = P, Q
-    W = klmw(ode).W
-    if require(is_zero(pd(W, "q"), config=config), "W_q"):
+    if require(is_zero(pd(klmw(ode).W, "q"), config=config), "W_q"):
         report.reason = "W_q = 0: frame degenerate"
         return report
-    tau_expr = chazy_tau(ode, config)
+    tau_expr = chazy_tau(ode)
     report.tau = tau_expr
     texact = exact_const(tau_expr)
     if texact is None:
@@ -325,17 +328,20 @@ def chazy_classify(ode: Ode3,
             root = math.isqrt(s2.numerator)
             if root * root == s2.numerator and admissible_sigma(root):
                 candidates.append(chazy_class("XI", sigma=root))
+    candidates = [cls for cls in candidates if cls.tau == texact]
+    if candidates:
+        inv = chazy_invariants(ode)
+        conditions = {k: is_zero(e, config=config)
+                      for k, e in inv.conditions.items()}
     for cls in candidates:
-        if texact != cls.tau:
-            continue
-        inv = chazy_invariants(ode, cls.lam_over_kappa, config)
+        cond40 = dict(conditions,
+                      c5=is_zero(c5_residual(cls, inv), config=config))
         cond_ok = all(require(v, f"condition {k}")
-                      for k, v in inv.cond40.items())
-        res = syzygy_residuals(ode, cls, inv)
+                      for k, v in cond40.items())
+        res = syzygy_residuals(cls, inv)
         verdicts = {k: is_zero(v, config=config) for k, v in res.items()}
-        report.cond40 = {k: v.status for k, v in inv.cond40.items()}
+        report.cond40 = {k: v.status for k, v in cond40.items()}
         report.syzygy_status = {k: v.status for k, v in verdicts.items()}
-        report.invariants = {"a": inv.a, "a4": inv.a4, "b": inv.b, "c": inv.c}
         if cond_ok and all(require(v, f"syzygy {k}")
                            for k, v in verdicts.items()):
             report.matched = cls
@@ -369,6 +375,10 @@ class ChazyTransformError(ArithmeticError):
     pass
 
 
+def _guard_eval(e: Expr, at) -> float:
+    return eval_at(e, at, margin=1e-9)
+
+
 def chazy_transform(ode: Ode3, base: JetPoint, c1: float, c2: float,
                     matched: Optional[ChazyClass] = None,
                     config: ZeroConfig = DEFAULT_CONFIG,
@@ -377,7 +387,9 @@ def chazy_transform(ode: Ode3, base: JetPoint, c1: float, c2: float,
     quadrature of the closed-form logarithmic derivatives.
 
     The inner y-integral runs at x = x0, the outer x-integral at the
-    requested y; the xbar integrand evaluates ybar along y = y0.
+    requested y; the xbar integrand evaluates ybar along y = y0.  A base
+    point where P or Q vanishes raises ChazyTransformError before anything
+    is built.
     """
     if c1 == 0:
         raise ValueError("c1 must be nonzero")
@@ -387,12 +399,21 @@ def chazy_transform(ode: Ode3, base: JetPoint, c1: float, c2: float,
             raise ChazyTransformError(
                 f"no Chazy class matched: {report.reason}")
         matched = report.matched
-    P, Q = chazy_PQ(ode, config)
-    tau = chazy_tau(ode, config)
+    P, Q = _pq(ode)
+    for name, e in (("P", P), ("Q", Q)):
+        _guard_eval(e, base)                # a pole of e raises here
+        try:                                # the pole guard on 1/e
+            _guard_eval(pow_(e, -1), base)
+        except SingularPointError:
+            raise ChazyTransformError(
+                f"{name} = 0 at the base point {base}: the maps divide "
+                f"by P and Q") from None
+    tau = chazy_tau(ode)
     F = ode.F
     kappa = float(matched.kappa)
 
-    prefactor = normalize(pow_(fun_abs(Q * Q / P ** 3), F3(1, 2)))
+    prefactor = normalize(pow_(abs_(normalize(Q * Q / P ** 3)),
+                                F3(1, 2)))
     x_integrand = normalize(-Q / (12 * tau * P)
                             + F3(1, 6) * (var("p") * pd(F, "q", "p")
                                           - pd(F, "q")))
@@ -401,21 +422,18 @@ def chazy_transform(ode: Ode3, base: JetPoint, c1: float, c2: float,
     x0, y0 = base.x, base.y
     p0, q0 = base.p, base.q
 
-    def guard_eval(e: Expr, env: dict) -> float:
-        return eval_at(e, env, margin=1e-9)
-
     def log_ybar(x: float, y: float) -> float:
         envx = {"x": x, "y": y, "p": p0, "q": q0}
         env0 = {"x": x0, "y": y, "p": p0, "q": q0}
-        base_term = math.log(guard_eval(prefactor, envx)) \
-            - math.log(guard_eval(prefactor, env0))
+        base_term = math.log(_guard_eval(prefactor, envx)) \
+            - math.log(_guard_eval(prefactor, env0))
         ypart = integrate(
-            lambda s: guard_eval(y_integrand,
-                                 {"x": x0, "y": s, "p": p0, "q": q0}),
+            lambda s: _guard_eval(y_integrand,
+                                  {"x": x0, "y": s, "p": p0, "q": q0}),
             y0, y, tol=tol)
         xpart = integrate(
-            lambda t: guard_eval(x_integrand,
-                                 {"x": t, "y": y, "p": p0, "q": q0}),
+            lambda t: _guard_eval(x_integrand,
+                                  {"x": t, "y": y, "p": p0, "q": q0}),
             x0, x, tol=tol)
         return base_term + ypart + xpart
 
@@ -425,28 +443,18 @@ def chazy_transform(ode: Ode3, base: JetPoint, c1: float, c2: float,
         return sign0 * abs(c1) * math.exp(log_ybar(x, y))
 
     xbar_integrand = normalize(Q / P)
+    tau0 = eval_at(tau, base)
 
     def xbar(x: float) -> float:
         val = integrate(
-            lambda t: guard_eval(xbar_integrand,
-                                 {"x": t, "y": y0, "p": p0, "q": q0})
+            lambda t: _guard_eval(xbar_integrand,
+                                  {"x": t, "y": y0, "p": p0, "q": q0})
             / ybar(t, y0),
             x0, x, tol=tol)
-        return -val / (2.0 * kappa * float(tau_value(tau, base))) + c2
+        return -val / (2.0 * kappa * tau0) + c2
 
     return ChazyMaps(cls=matched, base=base, c1=c1, c2=c2,
                      x_integrand=x_integrand, y_integrand=y_integrand,
                      xbar_integrand=xbar_integrand, prefactor=prefactor,
                      ybar=ybar, xbar=xbar)
 
-
-def tau_value(tau: Expr, base: JetPoint) -> float:
-    ec = exact_const(tau)
-    if ec is not None:
-        return float(ec)
-    return eval_at(tau, base)
-
-
-def fun_abs(e: Expr) -> Expr:
-    from .expr import abs_
-    return abs_(normalize(e))

@@ -281,10 +281,7 @@ def _atom_tree(aid: int, e: Fraction) -> Expr:
     if kind == _p.VAR:
         base = var(payload)
     elif kind == _p.PRIME:
-        if isinstance(payload, int) and payload >= 10 ** 11:
-            base = num(Fraction(payload // 10 ** 12, payload % 10 ** 12))
-        else:
-            base = num(payload)
+        base = num(payload)
     elif kind == _p.PBASE:
         base = _poly_tree(payload)
     else:

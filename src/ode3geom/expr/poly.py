@@ -116,7 +116,8 @@ def pbase_atom(base: dict) -> int:
     return _intern_atom(PBASE, poly_key(base), base)
 
 
-def prime_atom(p: int) -> int:
+def prime_atom(p: Union[int, Fraction]) -> int:
+    """A prime, or a positive rational too large to factor, kept exact."""
     return _intern_atom(PRIME, p, p)
 
 
@@ -458,7 +459,7 @@ def _frac_pow_const_parts(c: Fraction, e: Fraction) -> tuple:
     fn = _factorint(c.numerator)
     fd = _factorint(c.denominator)
     if fn is None or fd is None:
-        aid = prime_atom(c.numerator * 10 ** 12 + c.denominator)
+        aid = prime_atom(c)
         return Fraction(1), ((aid, e),)
     powers: dict = dict(fn)
     for p, k in fd.items():
@@ -493,10 +494,7 @@ def _canon_term(mono: tuple, coeff: Fraction):
         elif kind == PRIME:
             n = math.floor(e)
             rem = _exp_norm(e - n)
-            if isinstance(payload, int) and payload < 10 ** 11:
-                coeff *= Fraction(payload) ** n
-            else:
-                coeff *= Fraction(payload // 10 ** 12, payload % 10 ** 12) ** n
+            coeff *= Fraction(payload) ** n
             if rem:
                 entries.append((aid, rem))
         elif kind == PBASE:
@@ -1247,10 +1245,7 @@ def eval_atom_d(aid: int, vs: tuple, env: dict, cache: dict,
             raise DomainError(f"unbound variable {payload!r}")
         out = (val, [(vs.index(payload), 1.0)] if payload in vs else ())
     elif kind == PRIME:
-        if isinstance(payload, int) and payload >= 10 ** 11:
-            out = ((payload // 10 ** 12) / (payload % 10 ** 12), ())
-        else:
-            out = (float(payload), ())
+        out = (float(payload), ())
     elif kind == PBASE:
         val, dval, _dm, _vm = eval_poly_d(payload, vs, env, cache, margin)
         out = (val, _nonzero(dval))

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from ode3geom.chazy import (FIXED_CLASSES, chazy_class, chazy_classify,
-                            chazy_invariants, chazy_tau, chazy_transform,
-                            syzygy_residuals)
+from ode3geom.chazy import (FIXED_CLASSES, c5_residual, chazy_class,
+                            chazy_classify, chazy_invariants, chazy_tau,
+                            chazy_transform, syzygy_residuals)
 from ode3geom.contact import (classify_contact, contact_branch,
                               linearizable_contact)
 from ode3geom.expr import (DEFAULT_CONFIG, JetPoint, eval_at,
@@ -221,12 +221,13 @@ def test_criterion_8_syzygies():
         + [chazy_class("XI", sigma=5)]
     for cls in classes:
         ode = cls.canonical_ode()
-        tau = chazy_tau(ode, CFG_CHAZY)
+        tau = chazy_tau(ode)
         assert tau.rf.is_const()
         assert tau.rf.const_value() == cls.tau      # exact rationals
-        inv = chazy_invariants(ode, cls.lam_over_kappa, CFG_CHAZY)
-        assert all(v.is_zero for v in inv.cond40.values())
-        res = syzygy_residuals(ode, cls, inv)
+        inv = chazy_invariants(ode)
+        for e in (*inv.conditions.values(), c5_residual(cls, inv)):
+            assert is_zero(e, config=CFG_CHAZY).is_zero, cls.id
+        res = syzygy_residuals(cls, inv)
         for name, e in res.items():
             assert is_zero(e, config=CFG_CHAZY).is_zero, (cls.id, name)
     assert chazy_class("II").tau == Fraction(5, 12)

@@ -124,6 +124,21 @@ class TestChazy:
         assert samples["0.000"]["provenance"] == "quadrature"
 
 
+    def test_base_point_on_q_zero_exits_2(self, capsys):
+        from ode3geom.chazy import chazy_class
+        from ode3geom.transform import pullback_ode, random_fp_transforms
+        # transform 1 of the fp battery maps (0, 1, 0, 0) onto Q = 0
+        pb = pullback_ode(chazy_class("II").canonical_ode(),
+                          random_fp_transforms(13, 8)[1])
+        code, out = run_cli(["chazy", "--ode", str(pb.F), "--box",
+                             BOX_CHAZY, "--json", "--transform", "--base",
+                             "0,1,0,0", "--c1", "1", "--c2", "0"], capsys)
+        assert code == 2
+        err = json.loads(out)
+        assert err["kind"] == "ChazyTransformError"
+        assert "Q = 0" in err["error"]
+
+
 class TestPullback:
     def test_swap(self, capsys):
         code, out = run_cli(["pullback", "--ode", "0", "--chi", "y",

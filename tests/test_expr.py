@@ -134,6 +134,16 @@ class TestNormalize:
     def test_fractional_power_merge(self):
         assert str(normalize(parse("q^(1/2)*q^(1/2)"))) == "q"
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_unfactored_rational_root_stays_exact(self, n):
+        # 10000000000037 is too large to factor, so n/10000000000037 is
+        # kept as one atom; it must print and evaluate as itself
+        text = f"({n}/10000000000037)^(1/2)"
+        e = normalize(parse(text))
+        assert str(e) == text
+        assert eval_at(e, {}) == pytest.approx(
+            math.sqrt(n / 10000000000037), rel=1e-12)
+
 
 class TestEval:
     def test_basic(self):
