@@ -359,14 +359,9 @@ class ChazyMaps:
     """Numeric equivalence maps xbar(x) and ybar(x, y) onto the matched
     canonical class, plus the symbolic integrands."""
 
-    cls: ChazyClass
-    base: JetPoint
-    c1: float
-    c2: float
     x_integrand: Expr        # d log|ybar| / dx part
     y_integrand: Expr        # d log|ybar| / dy part at x = x0
     xbar_integrand: Expr     # Q/(P ybar) (y-independent for true members)
-    prefactor: Expr          # sqrt(|Q^2 / P^3|)
     ybar: Callable[[float, float], float]
     xbar: Callable[[float], float]
 
@@ -453,8 +448,6 @@ def chazy_transform(ode: Ode3, base: JetPoint, c1: float, c2: float,
             x0, x, tol=tol)
         return -val / (2.0 * kappa * tau0) + c2
 
-    return ChazyMaps(cls=matched, base=base, c1=c1, c2=c2,
-                     x_integrand=x_integrand, y_integrand=y_integrand,
-                     xbar_integrand=xbar_integrand, prefactor=prefactor,
-                     ybar=ybar, xbar=xbar)
+    return ChazyMaps(x_integrand=x_integrand, y_integrand=y_integrand,
+                     xbar_integrand=xbar_integrand, ybar=ybar, xbar=xbar)
 

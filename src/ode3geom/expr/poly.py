@@ -14,9 +14,20 @@ Keeping denominators factored makes the operations the invariant pipelines
 hammer on cheap: differentiation bumps factor multiplicities by one instead
 of squaring denominators, and cancellation is a few exact-division tests
 instead of a multivariate gcd.
+
+The two hot kernels, exact division and the multi-term product, work on
+packed exponent vectors (_pack_plan): each monomial of the two operands
+becomes one int, so a monomial product is one addition and a comparison in
+the division's lex order is one int compare.  The packed form exists only
+inside those two kernels; what they return is keyed by tuple monomials, in
+the same monomial order and term order as before.  Field widths are sized
+from the operands' exponents times 2 for a product and times
+2 * (_DIV_GUARD + 2) for a division, so a field cannot overflow by
+construction and nothing checks for it at run time.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Optional, Union
@@ -125,8 +136,9 @@ def prime_atom(p: Union[int, Fraction]) -> int:
 
 # A monomial: tuple of (atom_id, exponent), strictly increasing in atom id,
 # with no zero exponent; exponents are ints when integral, Fractions
-# otherwise.  mono_mul's merge and exact division rely on that order, so a
-# monomial assembled from parts in any other order goes through mono_from.
+# otherwise.  Equal monomials must be equal tuples and mono_mul's merge
+# relies on that order, so a monomial assembled from parts in any other
+# order goes through mono_from.
 MONE: tuple = ()
 
 
@@ -171,6 +183,85 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
 
 def mono_key(a: tuple):
     return tuple((aid, _exp_num(e), _exp_den(e)) for aid, e in a)
+
+
+class _FieldEntries(dict):
+    """The (atom_id, exponent) entry of each value of one packed field:
+    the operands' own entry or one made on first use, so that every term
+    unpacked in one call shares it."""
+
+    __slots__ = ("aid", "zero", "den")
+
+    def __missing__(self, f: int) -> tuple:
+        e = f - self.zero
+        ent = self[f] = (self.aid, e if self.den == 1
+                         else _exp_norm(Fraction(e, self.den)))
+        return ent
+
+
+def _pack_plan(a: dict, b: dict, room: int) -> tuple:
+    """Packed exponent vectors for the monomials of polynomials a and b
+    (Monagan & Pearce, CASC 2007): (pack, unpack, high).
+
+    pack(m), for a monomial m of a or b, is one int with a bit field per
+    atom of their joint universe, the smallest atom id in the most
+    significant field.  A field holds the exponent times the lcm of that
+    atom's exponent denominators, plus a bias of half the field's range,
+    under a borrow bit that is 0; high has every borrow bit set.  So the
+    ints compare as their monomials do in poly_div_exact's lex order,
+    x1 + x2 - pack(MONE) is the packed product, and
+    ((x1 | high) - x2) & high == high iff no exponent of x1 is below that
+    of x2.  A field holds any scaled exponent up to room times the
+    operands' largest in absolute value, so a caller that stays within
+    that cannot overflow one.  unpack turns a packed int back into a
+    tuple monomial.
+    """
+    ents = set().union(*a, *b)
+    den: dict = {}
+    top: dict = {}
+    for aid, e in ents:
+        d = e.denominator
+        n = abs(e.numerator)
+        cur = den.get(aid)
+        if cur is None:
+            den[aid] = d
+            top[aid] = n
+        else:
+            if cur % d:
+                den[aid] = cur * d // math.gcd(cur, d)
+            if n > top[aid]:
+                top[aid] = n
+    at: dict = {}
+    fields = []
+    one = high = shift = 0
+    for aid in sorted(den, reverse=True):
+        d = den[aid]
+        width = (room * top[aid] * d).bit_length() + 1
+        tab = _FieldEntries()
+        tab.aid, tab.zero, tab.den = aid, 1 << (width - 1), d
+        at[aid] = (shift, tab)
+        fields.append((shift, (1 << width) - 1, tab.zero, tab))
+        one |= tab.zero << shift
+        high |= 1 << (shift + width)
+        shift += width + 1
+    fields.reverse()
+    part: dict = {}
+    for ent in ents:
+        aid, e = ent
+        sh, tab = at[aid]
+        f = e.numerator * (tab.den // e.denominator)
+        part[ent] = f << sh
+        tab[tab.zero + f] = ent
+    part_of = part.__getitem__
+
+    def pack(m: tuple) -> int:
+        return sum(map(part_of, m), one)
+
+    def unpack(x: int) -> tuple:
+        return tuple([tab[f] for sh, mask, zero, tab in fields
+                      if (f := x >> sh & mask) != zero])
+
+    return pack, unpack, high
 
 
 # -------------------------------------------------------------- polynomials
@@ -219,17 +310,23 @@ def poly_mul(a: dict, b: dict) -> dict:
     if len(a) == 1:
         (ma, ca), = a.items()
         if not ma:
-            return a if ca != 1 and not b else poly_scale(b, ca) \
-                if ca != 1 else b
+            return poly_scale(b, ca)
     if len(b) == 1:
         (mb, cb), = b.items()
         if not mb:
-            return poly_scale(a, cb) if cb != 1 else a
+            return poly_scale(a, cb)
+        return {mono_mul(ma, mb): ca * cb for ma, ca in a.items()}
+    if len(a) == 1:
+        return {mono_mul(ma, mb): ca * cb for mb, cb in b.items()}
+    pack, unpack, _high = _pack_plan(a, b, 2)
+    one = pack(MONE)
+    pb = [(pack(m) - one, c) for m, c in b.items()]
     out: dict = {}
     get = out.get
     for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = mono_mul(ma, mb)
+        xa = pack(ma)
+        for yb, cb in pb:
+            m = xa + yb
             c = ca * cb
             cur = get(m)
             if cur is None:
@@ -240,7 +337,7 @@ def poly_mul(a: dict, b: dict) -> dict:
                     out[m] = s
                 else:
                     del out[m]
-    return out
+    return {unpack(m): c for m, c in out.items()}
 
 
 def poly_pow(a: dict, n: int) -> dict:
@@ -262,14 +359,6 @@ def poly_key(a: dict):
 
 def poly_is_const(a: dict) -> bool:
     return not a or (len(a) == 1 and MONE in a)
-
-
-def poly_atoms(a: dict) -> set:
-    out = set()
-    for m in a:
-        for aid, _ in m:
-            out.add(aid)
-    return out
 
 
 def poly_content(a: dict) -> Fraction:
@@ -357,69 +446,54 @@ def poly_div_exact(a: dict, b: dict) -> Optional[dict]:
                     return None
             out[mm] = _frac_c(c, cb)
         return out
-    import heapq
-    universe = sorted(poly_atoms(a) | poly_atoms(b))
-    uidx = {aid: i for i, aid in enumerate(universe)}
-    nu = len(universe)
-
-    def vec(m: tuple) -> tuple:
-        v = [0] * nu
-        for aid, e in m:
-            v[uidx[aid]] = -e          # negated: min-heap pops the lead
-        return tuple(v)
-
-    vb = [(vec(m), m) for m in b]
-    lead_b_v, lead_b = min(vb)
-    trail_b_v, trail_b = max(vb)
-    cb = b[lead_b]
-    heap = [(vec(m), m) for m in a]
-    trail_a_v, trail_a = max(heap)
-    for x, y in zip(trail_a_v, trail_b_v):
-        if x > y:
-            return None
+    # A step's new remainder terms lie within the span of b's exponents
+    # (at most twice the operands' largest) of its lead, and its quotient
+    # term is that lead over lead(b); so over at most _DIV_GUARD steps no
+    # field leaves 2 * (_DIV_GUARD + 1) times the operands' largest.
+    pack, unpack, high = _pack_plan(a, b, 2 * (_DIV_GUARD + 2))
+    pb = {pack(m): c for m, c in b.items()}
+    lead_b = max(pb)
+    trail_b = min(pb)
+    cb = pb[lead_b]
+    rem = {pack(m): c for m, c in a.items()}
+    trail_a = min(rem)
+    if ((trail_a | high) - trail_b) & high != high:
+        return None
     ints = (all(type(c) is int for c in a.values())
             and all(type(c) is int for c in b.values())
             and math.gcd(*b.values()) == 1)
-    if ints and a[trail_a] % b[trail_b]:
+    if ints and rem[trail_a] % pb[trail_b]:
         return None
+    steps = [(x - lead_b, c) for x, c in pb.items()]
+    to_quo = pack(MONE) - lead_b
+    heap = [-x for x in rem]           # negated: the min-heap pops the lead
     heapq.heapify(heap)
-    rem = dict(a)
     quo: dict = {}
     guard = 0
     while rem:
         guard += 1
         if guard > _DIV_GUARD:
             raise _DivisionUndecided
-        lead_r = None
-        while heap:
-            v, m = heapq.heappop(heap)
-            if m in rem:
-                lead_r, lead_r_v = m, v
-                break
-        if lead_r is None:
-            break
-        qv = [lb - lr for lr, lb in zip(lead_r_v, lead_b_v)]
-        for x in qv:
-            if x < 0:
-                return None
-        qm = tuple((universe[i], _exp_norm(x))
-                   for i, x in enumerate(qv) if x)
+        lead_r = -heapq.heappop(heap)
+        while lead_r not in rem:
+            lead_r = -heapq.heappop(heap)
+        if ((lead_r | high) - lead_b) & high != high:
+            return None
         qc = _frac_c(rem[lead_r], cb)
         if ints and type(qc) is not int:
             return None
-        quo[qm] = qc
-        for mb2, cb2 in b.items():
-            mm = mono_mul(qm, mb2)
+        quo[lead_r + to_quo] = qc
+        for delta, cb2 in steps:
+            mm = lead_r + delta
             cur = rem.get(mm)
             nv = (cur if cur is not None else 0) - qc * cb2
             if nv:
                 if cur is None:
-                    heapq.heappush(heap, (vec(mm), mm))
+                    heapq.heappush(heap, -mm)
                 rem[mm] = nv
-            else:
-                if cur is not None:
-                    del rem[mm]
-    return quo if not rem else None
+            elif cur is not None:
+                del rem[mm]
+    return None if rem else {unpack(x): c for x, c in quo.items()}
 
 
 def _frac_c(a: Coeff, b: Coeff) -> Coeff:

@@ -419,9 +419,9 @@ class TestExactDivision:
          _poly((1, {"q": 1}), (2, {}))),
     ])
     def test_misses_rejected_without_reducing(self, monkeypatch, a, b):
-        steps = _count_calls(monkeypatch, "mono_mul")
+        # a second step would raise: the miss is found before any reduction
+        monkeypatch.setattr(poly, "_DIV_GUARD", 1)
         assert poly.poly_div_exact(a, b) is None
-        assert not steps
 
     def test_fractional_quotient_coefficient_ends_division(self,
                                                           monkeypatch):
@@ -429,9 +429,11 @@ class TestExactDivision:
         # would be 1/2, impossible for a primitive integer divisor
         a = _poly((2, {"q": 3}), (2, {"q": 2}), (1, {"q": 1}), (1, {}))
         b = _poly((2, {"q": 1}), (1, {}))
-        steps = _count_calls(monkeypatch, "mono_mul")
+        monkeypatch.setattr(poly, "_DIV_GUARD", 2)
         assert poly.poly_div_exact(a, b) is None
-        assert len(steps) == len(b)          # one reduction step
+        monkeypatch.setattr(poly, "_DIV_GUARD", 1)  # one reduction step
+        with pytest.raises(poly._DivisionUndecided):
+            poly.poly_div_exact(a, b)
 
     def test_matches_sympy_div(self):
         sympy = pytest.importorskip("sympy")
@@ -497,6 +499,135 @@ class TestExactDivision:
         rf = poly._make(Fraction(1), num, _den((f, 1), (g, 1)))
         assert rf.den == ()
         assert rf.num == _poly((1, {v: 2}), (1, {v: 1}), (1, {}))
+
+
+# exponents of one atom in one random term: negative, fractional, and an
+# atom that is an int in one term and a Fraction in another
+_EXPS = (0, 0, 1, 2, 3, -1, -2, HALF, -HALF, Fraction(3, 2), Fraction(2, 3),
+         Fraction(-1, 3))
+
+
+def _rand_poly(rng, n, exps=_EXPS, names=("x", "y", "p", "q")):
+    return _poly(*((rng.choice([-3, -2, -1, 1, 2, 3, HALF]),
+                    {v: rng.choice(exps) for v in names})
+                   for _ in range(n)))
+
+
+def _atoms(*polys):
+    """The atom ids of the polynomials, increasing."""
+    return sorted({aid for p in polys for m in p for aid, _e in m})
+
+
+def _lex(univ, m):
+    """The lex key of poly_div_exact's order: smallest atom id first."""
+    exps = dict(m)
+    return tuple(exps.get(aid, 0) for aid in univ)
+
+
+class TestPackedKernels:
+    """poly_mul and poly_div_exact against term-by-term references."""
+
+    def test_products_match_tuple_merge(self):
+        rng = random.Random(20261018)
+        cancelled = mixed = merged = 0
+        for k in range(1000):
+            # every other case on two atoms, so that terms merge
+            shape = (_EXPS, ("x", "y", "p", "q")) if k % 2 else \
+                ((0, 1, -1, HALF), ("y", "q"))
+            a = _rand_poly(rng, rng.randint(2, 5), *shape)
+            b = _rand_poly(rng, rng.randint(2, 5), *shape)
+            if len(a) < 2 or len(b) < 2:
+                continue
+            want: dict = {}
+            for ma, ca in a.items():
+                for mb, cb in b.items():
+                    m = poly.mono_from(ma + mb)
+                    cancelled += len(m) < len(dict(ma).keys() | dict(mb))
+                    merged += m in want
+                    c = want.get(m, 0) + ca * cb
+                    if c:
+                        want[m] = c
+                    else:
+                        del want[m]
+            exps = {}
+            for m in (*a, *b):
+                for aid, e in m:
+                    exps.setdefault(aid, set()).add(type(e) is int)
+            mixed += any(len(kinds) == 2 for kinds in exps.values())
+            got = poly.poly_mul(a, b)
+            # values and term order: the order feeds the float summation
+            # of the sampler
+            assert list(got.items()) == list(want.items())
+            assert all(type(e) is int or e.denominator > 1
+                       for m in got for _aid, e in m)
+        assert cancelled > 1000 and mixed > 400 and merged > 200
+
+    def test_quotients_come_back_in_lead_order(self):
+        rng = random.Random(20261019)
+        nonneg = tuple(e for e in _EXPS if e >= 0)
+        hits = 0
+        for _ in range(1000):
+            b = _rand_poly(rng, rng.randint(2, 4))
+            q = _rand_poly(rng, rng.randint(1, 4), exps=nonneg)
+            if len(b) < 2 or not q:
+                continue
+            a = {m: poly._frac_c(c, 1) for m, c in poly.poly_mul(q, b).items()}
+            univ = _atoms(a, b)
+            want = sorted(q.items(), key=lambda t: _lex(univ, t[0]),
+                          reverse=True)
+            assert list(poly.poly_div_exact(a, b).items()) == want
+            hits += 1
+        assert hits > 700
+
+    def test_pack_plan_fields_hold_room_times_the_largest_exponent(self):
+        rng = random.Random(20261021)
+        for room in (1, 2, 7, 2 * (poly._DIV_GUARD + 2)):
+            a = _rand_poly(rng, 3)
+            b = _rand_poly(rng, 3)
+            pack, unpack, high = poly._pack_plan(a, b, room)
+            one = pack(poly.MONE)
+            univ = _atoms(a, b)
+
+            def rand_mono():
+                # m1^k * m2^j with k + j <= room, packed by additions: no
+                # exponent exceeds room times the operands' largest
+                m1, m2 = rng.choice([*a, *b]), rng.choice([*a, *b])
+                k = rng.choice([room, rng.randint(0, room)])
+                j = rng.randint(0, room - k)
+                x = k * pack(m1) + j * pack(m2) - (k + j - 1) * one
+                return x, poly.mono_from([(aid, k * e) for aid, e in m1]
+                                         + [(aid, j * e) for aid, e in m2])
+
+            for _ in range(200):
+                (x1, m1), (x2, m2) = rand_mono(), rand_mono()
+                assert unpack(x1) == m1
+                assert (x1 < x2) == (_lex(univ, m1) < _lex(univ, m2))
+                assert (((x1 | high) - x2) & high == high) == all(
+                    e1 >= e2 for e1, e2 in zip(_lex(univ, m1),
+                                               _lex(univ, m2)))
+
+    def test_long_miss_drifts_past_operand_exponents(self):
+        # (v^4 + 1) / (v - w^9) with v first in the lex order: the leads
+        # run v^4, v^3*w^9, ..., w^36, four times the largest exponent of
+        # the operands, before w^36 fails to divide
+        v, w = sorted(("q", "y"), key=poly.var_atom)
+        a = _poly((1, {v: 4}), (1, {}))
+        b = _poly((1, {v: 1}), (-1, {w: 9}))
+        assert poly.poly_div_exact(a, b) is None
+        a = poly.poly_add(a, _poly((-1, {w: 36}), (-1, {})))
+        assert poly.poly_div_exact(a, b) == _poly(
+            (1, {v: 3}), (1, {v: 2, w: 9}), (1, {v: 1, w: 18}), (1, {w: 27}))
+
+    def test_product_terms_share_entries(self):
+        # q*y + q*p times q + x: q^2*y and q^2*p carry one (q, 2) tuple
+        a = _poly((1, {"q": 1, "y": 1}), (1, {"q": 1, "p": 1}))
+        b = _poly((1, {"q": 1}), (1, {"x": 1}))
+        got = poly.poly_mul(a, b)
+        q = poly.var_atom("q")
+        squares = [ent for m in got for ent in m if ent == (q, 2)]
+        ones = [ent for m in got for ent in m if ent == (q, 1)]
+        assert len(squares) == 2 and squares[0] is squares[1]
+        assert len(ones) == 2 and ones[0] is ones[1]
 
 
 def _random_expr(rng, depth=3, rational_only=False):

@@ -1,7 +1,7 @@
 """Monomials stay sorted by atom id whatever order the atoms were interned in.
 
 Atom ids follow first use, so the order of the ids depends on what ran
-earlier in the process.  mono_mul's merge and exact division rely on every
+earlier in the process.  Dict keys and mono_mul's merge rely on every
 monomial being strictly increasing in atom id, with no zero exponent.  Each
 test here runs a script in a fresh interpreter, so that it controls the
 interning order, and wraps RF construction there to count the monomials that
