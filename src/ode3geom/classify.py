@@ -51,6 +51,16 @@ def run_classifier(group: str, classify, ode, config: ZeroConfig
                                     diagnostics={"reason": str(exc)})
 
 
+def unverified(result: ClassificationResult,
+               exc: ArithmeticError) -> ClassificationResult:
+    """result, marked inconclusive: the comparison of its row with the
+    canonical representative could not be completed."""
+    result.inconclusive = True
+    result.diagnostics.update(
+        tuple_verified=None, reason=f"representative check inconclusive: {exc}")
+    return result
+
+
 def _jsonable(v):
     if isinstance(v, Fraction):
         return {"value": f"{v.numerator}/{v.denominator}"

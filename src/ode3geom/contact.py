@@ -10,7 +10,8 @@ from typing import Optional
 
 from .classify import (ClassificationResult, InconclusiveError, const_value,
                        constant_parameter, is_constant, rep_config, require,
-                       run_classifier, snap_rational, tuples_match)
+                       run_classifier, snap_rational, tuples_match,
+                       unverified)
 from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, abs_, atan, exp, is_zero,
                    normalize, num, pow_, sign_on_domain, var)
 from .forms import Coframe, OneForm, d, decompose, decompose_many
@@ -451,16 +452,12 @@ def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
     vals = {nm: const_value(ex, config) for nm, ex in red.I.items()}
     i7, i8 = vals["I7"], vals["I8"]
     eps = red.eps
-    row = None
-    mu = None
-    rep = None
-    y, p, q = var("y"), var("p"), var("q")
+    row = mu = rep = None
     if eps != 0 and abs(i7 - CBRT6_OVER_3) <= 1e-7:
         row = "XI" if eps == 1 else "XII"
-        rep = Ode3(pow_(q * q + 1, F3(3, 2))) if row == "XI" \
-            else Ode3(pow_(q, F3(3, 2)))
     elif eps == 0:
         # degenerate discriminant: the mu = 1 members of rows VIII / X
+        y, p, q = var("y"), var("p"), var("q")
         if abs(i8 - 1) <= 1e-7:
             row, mu = "VIII", 1.0
             rep = Ode3(pow_(2 * q * y - p * p, F3(3, 2)) / (y * y))
@@ -473,39 +470,43 @@ def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
         mu = math.sqrt(abs(9 * i7 ** 3 / denom)) if abs(denom) > 1e-12 \
             else None
         if mu is not None:
-            ms = snap_rational(mu)
-            mex = num(ms) if ms is not None else None
             if eps == 1 and 0 < i7 < CBRT6_OVER_3:
                 row = "VII"
-                if mex is not None:
-                    rep = Ode3(normalize(
-                        mex * pow_(q * q / (1 - p * p) - p * p + 1, F3(3, 2))
-                        - 3 * q * q * p / (1 - p * p) + p ** 3 - p * p))
             elif eps == -1 and 0 < i7 < CBRT6_OVER_3:
                 row = "IX"
-                if mex is not None:
-                    rep = Ode3(normalize(
-                        4 * mex * pow_(q - p * p, F3(3, 2))
-                        + 6 * q * p - 4 * p ** 3))
             elif (eps == 1 and i7 < 0) or (eps == -1 and i7 > CBRT6_OVER_3):
                 row = "VIII"
-                if mex is not None:
-                    rep = Ode3(normalize(mex * pow_(2 * q * y - p * p,
-                                                    F3(3, 2)) / (y * y)))
             elif (eps == -1 and i7 < 0) or (eps == 1 and i7 > CBRT6_OVER_3):
                 row = "X"
-                if mex is not None:
-                    rep = Ode3(normalize(
-                        mex * pow_(q * q / (p * p) + p * p, F3(3, 2))
-                        + 3 * q * q / p + p ** 3))
     if row is None:
         return ClassificationResult(
             group="contact", row="general",
             diagnostics={"reason": "W=0 invariants off every table row",
                          "eps2": eps, **vals})
-    return _table_result(red, row, mu, rep, vals,
+    return _table_result(red, row, mu, rep or w0_rep(row, mu), vals,
                          [f"eps2={eps}", f"I7={i7:.9g}", f"I8={i8:.9g}"],
                          config)
+
+
+def w0_rep(row: str, mu: Optional[float]) -> Optional[Ode3]:
+    """The canonical representative of a W = 0 row, VII to XII, of either
+    table, with its parameter mu snapped to a small rational; None when
+    that fails."""
+    y, p, q = var("y"), var("p"), var("q")
+    if row in ("XI", "XII"):
+        return Ode3(pow_(q * q + 1 if row == "XI" else q, F3(3, 2)))
+    ms = snap_rational(mu)
+    if ms is None:
+        return None
+    m = num(ms)
+    return Ode3(normalize({
+        "VII": lambda: (m * pow_(q * q / (1 - p * p) - p * p + 1, F3(3, 2))
+                        - 3 * q * q * p / (1 - p * p) + p ** 3 - p * p),
+        "VIII": lambda: m * pow_(2 * q * y - p * p, F3(3, 2)) / (y * y),
+        "IX": lambda: (4 * m * pow_(q - p * p, F3(3, 2))
+                       + 6 * q * p - 4 * p ** 3),
+        "X": lambda: (m * pow_(q * q / (p * p) + p * p, F3(3, 2))
+                      + 3 * q * q / p + p ** 3)}[row]()))
 
 
 def _table_result(red: ContactCoframeInvariants, row: str, mu, rep, vals: dict,
@@ -518,11 +519,13 @@ def _table_result(red: ContactCoframeInvariants, row: str, mu, rep, vals: dict,
         ms = snap_rational(mu)
         result.parameters["mu"] = ms if ms is not None else mu
     if rep is not None:
-        ok = _verify_against_rep(red, rep, rep_config(row, config))
+        try:
+            ok = _verify_against_rep(red, rep, rep_config(row, config))
+        except ArithmeticError as exc:
+            return unverified(result, exc)
         result.diagnostics["tuple_verified"] = ok
         if not ok:
-            result.row = "general"
-            result.dimension = None
+            result.row, result.dimension = "general", None
             result.diagnostics["reason"] = \
                 "candidate tuple differs from canonical representative"
     return result
@@ -530,18 +533,12 @@ def _table_result(red: ContactCoframeInvariants, row: str, mu, rep, vals: dict,
 
 def _verify_against_rep(red: ContactCoframeInvariants, rep: Ode3,
                         config: ZeroConfig) -> bool:
-    """Full-tuple comparison against the canonical representative."""
-    try:
-        rred = invariants_reduced(rep, config)
-    except (ArithmeticError, InconclusiveError):
-        return False
+    """Full-tuple match with the representative; may raise ArithmeticError."""
+    rred = invariants_reduced(rep, config)
     if rred.eps != red.eps:
         return False
     mine = [const_value(red.I[nm], config) for nm in sorted(red.I)]
-    try:
-        theirs = [const_value(rred.I[nm], config) for nm in sorted(rred.I)]
-    except (ArithmeticError, InconclusiveError):
-        return False
+    theirs = [const_value(rred.I[nm], config) for nm in sorted(rred.I)]
     return tuples_match(mine, theirs)
 
 

@@ -361,32 +361,35 @@ def poly_is_const(a: dict) -> bool:
     return not a or (len(a) == 1 and MONE in a)
 
 
-def poly_content(a: dict) -> Fraction:
-    """Positive rational content of a mixed int/Fraction poly."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in a.values():
-        num_gcd = math.gcd(num_gcd, abs(_exp_num(c)))
-        d = _exp_den(c)
-        den_lcm = den_lcm * d // math.gcd(den_lcm, d)
-    return Fraction(num_gcd, den_lcm)
-
-
 def poly_lead_mono(a: dict) -> tuple:
-    return max(a, key=mono_key)
+    """The largest monomial of a in mono_key order (see poly_primitive)."""
+    if any(type(e) is not int for m in a for _aid, e in m):
+        return max(a, key=mono_key)
+    return max(a)
 
 
 def poly_primitive(a: dict) -> tuple:
-    """(c, b) with a == c*b, b integer, content-free, positive-leading."""
-    if not a:
-        return Fraction(0), {}
-    c = poly_content(a)
-    if a[poly_lead_mono(a)] < 0:
-        c = -c
-    if c == 1:
-        return Fraction(1), {m: _exp_num(cc) for m, cc in a.items()}
-    inv = 1 / c
-    return c, {m: _exp_num(cc * inv) for m, cc in a.items()}
+    """(c, b) with a == c*b for a nonzero polynomial a: c a Fraction, b a
+    new dict with int coefficients of gcd 1 and a positive coefficient on
+    the lead monomial.
+
+    The lead is the largest monomial in mono_key order, which compares a
+    fractional exponent by its numerator, then its denominator, not by its
+    value: 1/2 ranks above 1 and 3/2 above 2.  With int exponents only,
+    mono_key order is plain tuple order, so max(a) finds the same lead."""
+    if len(a) == 1:
+        (m, c), = a.items()
+        return Fraction(c), {m: 1}
+    den = 1
+    if set(map(type, a.values())) != {int}:
+        den = math.lcm(*(c.denominator for c in a.values()))
+        a = {m: c.numerator * (den // c.denominator) for m, c in a.items()}
+    vals = a.values()
+    g = math.gcd(*vals)
+    if min(vals) < 0 and (max(vals) < 0 or a[poly_lead_mono(a)] < 0):
+        g = -g
+    return Fraction(g, den), \
+        dict(a) if g == 1 else {m: c // g for m, c in a.items()}
 
 
 def poly_mono_content(a: dict) -> tuple:
@@ -650,8 +653,7 @@ def _canon_poly(a: dict) -> "RF":
         num[mono] = (cur + cc) if cur is not None else cc
         if not num[mono]:
             del num[mono]
-    c, prim = poly_primitive(num)
-    out = RF._raw(c, prim, ()) if prim else RF_ZERO
+    out = RF._raw(*poly_primitive(num), ()) if num else RF_ZERO
     for dk, numpart in groups.items():
         out = out + _make(Fraction(1), numpart, dens[dk])
     return out
@@ -913,9 +915,7 @@ def _make(c: Fraction, num: dict, den: tuple) -> "RF":
             den = tuple(new_den)
             again = undecided and divided
     cc, num = poly_primitive(num)
-    if not num:
-        return RF_ZERO
-    return RF._raw(c * cc, num, den)
+    return RF._raw(c if cc == 1 else c * cc, num, den)
 
 
 RF_ZERO = RF._raw(Fraction(0), {}, ())

@@ -7,11 +7,11 @@ from dataclasses import dataclass
 from fractions import Fraction as F3
 from typing import Optional
 
-from .classify import (ClassificationResult, InconclusiveError, const_value,
-                       constant_parameter, is_constant, rep_config, require,
-                       run_classifier, snap_rational, tuples_match)
+from .classify import (ClassificationResult, const_value, constant_parameter,
+                       is_constant, rep_config, require, run_classifier,
+                       snap_rational, tuples_match, unverified)
 from .contact import (PAIR, _decompose_all, _mu_of_x, _plain_omegas,
-                      _z_data, bas_a)
+                      _z_data, bas_a, w0_rep)
 from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, is_zero, normalize, num,
                    pow_, sign_on_domain, var)
 from .forms import Coframe
@@ -308,8 +308,10 @@ def _classify_point_w0(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
                                     diagnostics=diag)
     # W = 0, F_qqqq != 0.  I6p as printed fails constancy even on the
     # canonical members, so the gate runs on I5p, I7p, I8p.
-    vals = point_reduced_w4d(ode)
-    gate = {k: vals[k] for k in ("I5p", "I7p", "I8p")}
+    def gate_pipeline(o):
+        v = point_reduced_w4d(o)
+        return {k: v[k] for k in ("I5p", "I7p", "I8p")}
+    gate = gate_pipeline(ode)
     if not all(is_constant(e, config) for e in gate.values()):
         return ClassificationResult(
             group="point", row="general",
@@ -317,22 +319,13 @@ def _classify_point_w0(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
             diagnostics={"reason": "I5p/I7p/I8p not constant"})
     nums = {k: const_value(e, config) for k, e in gate.items()}
     i8 = nums["I8p"]
-    y, p, q = var("y"), var("p"), var("q")
     if abs(i8 + 1.5) <= 1e-7:
-        row, mu, rep = "XII", None, Ode3(pow_(q, F3(3, 2)))
+        row, mu = "XII", None
     elif i8 > -1.5:
-        row = "VIII"
-        mu = math.sqrt(2.0 / (i8 + 1.5))
-        ms = snap_rational(mu)
-        rep = Ode3(normalize(num(ms) * pow_(2 * q * y - p * p, F3(3, 2))
-                             / (y * y))) if ms is not None else None
+        row, mu = "VIII", math.sqrt(2.0 / (i8 + 1.5))
     else:
-        row = "IX"
-        mu = math.sqrt(-2.0 / (i8 + 1.5))
-        ms = snap_rational(mu)
-        rep = Ode3(normalize(4 * num(ms) * pow_(q - p * p, F3(3, 2))
-                             + 6 * q * p - 4 * p ** 3)) if ms is not None \
-            else None
+        row, mu = "IX", math.sqrt(-2.0 / (i8 + 1.5))
+    rep = w0_rep(row, mu)
     result = ClassificationResult(
         group="point", row=row, dimension=4,
         evidence=["W=0", "F_qqqq!=0", f"I8p={i8:.9g}"], diagnostics=nums)
@@ -340,11 +333,11 @@ def _classify_point_w0(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
         ms = snap_rational(mu)
         result.parameters["mu"] = ms if ms is not None else mu
     if rep is not None:
-        def gate_pipeline(o):
-            v = point_reduced_w4d(o)
-            return {k: v[k] for k in ("I5p", "I7p", "I8p")}
-        ok = _verify_point_rep(nums, rep, gate_pipeline,
-                               rep_config(row, config), config)
+        try:
+            ok = _verify_point_rep(nums, rep, gate_pipeline,
+                                   rep_config(row, config))
+        except ArithmeticError as exc:
+            return unverified(result, exc)
         result.diagnostics["tuple_verified"] = ok
         if not ok:
             result.row, result.dimension = "general", None
@@ -413,25 +406,25 @@ def _classify_point_wnz(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
                     ("II.3", ms,
                      Ode3(normalize((3 * p + num(ms)) * q * q
                                     / (p * p + 1)))))
+    unsettled = None
     for row, mu, rep in candidates:
-        if _verify_point_rep(nums, rep, point_reduced_w_nonzero,
-                             config, config):
-            result = ClassificationResult(
-                group="point", row=row, dimension=4,
-                evidence=["W!=0", f"I1p={i1:.9g}", f"I2p={i2:.9g}"],
-                diagnostics=dict(nums, tuple_verified=True))
-            if mu is not None:
-                result.parameters["mu"] = mu
-            return result
-    return ClassificationResult(
+        result = ClassificationResult(
+            group="point", row=row, dimension=4,
+            parameters={} if mu is None else {"mu": mu},
+            evidence=["W!=0", f"I1p={i1:.9g}", f"I2p={i2:.9g}"],
+            diagnostics=dict(nums, tuple_verified=True))
+        try:
+            if _verify_point_rep(nums, rep, point_reduced_w_nonzero, config):
+                return result
+        except ArithmeticError as exc:
+            unsettled = unsettled or unverified(result, exc)
+    return unsettled or ClassificationResult(
         group="point", row="general", evidence=["W!=0"],
         diagnostics=dict(nums, reason="no canonical representative matches"))
 
 
-def _verify_point_rep(nums: dict, rep: Ode3, pipeline, rep_config, config) -> bool:
-    try:
-        rvals = pipeline(rep)
-        rnums = [const_value(e, rep_config) for e in rvals.values()]
-    except (ArithmeticError, InconclusiveError):
-        return False
+def _verify_point_rep(nums: dict, rep: Ode3, pipeline, rep_config) -> bool:
+    """Tuple match with the representative; may raise ArithmeticError."""
+    rvals = pipeline(rep)
+    rnums = [const_value(e, rep_config) for e in rvals.values()]
     return tuples_match(list(nums.values()), rnums)

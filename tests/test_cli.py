@@ -192,6 +192,22 @@ class TestBatchAndReport:
         assert contact["diagnostics"]["reason"] == \
             "abs/sgn argument changes sign on the sample box"
 
+    def test_report_unfinished_rep_check_is_inconclusive(self, capsys):
+        # exp(q - 800) is exp(q) under y -> y + 400*x^2, so both tables put
+        # it in row VI; on this box exp(q) overflows at every sample, so the
+        # check against that representative cannot be completed
+        code, out = run_cli(["report", "--ode", "exp(q-800)", "--json",
+                             "--box", "x:-1:1,y:-1:1,p:0.5:2,q:800:810"],
+                            capsys)
+        assert code == 2
+        payload = json.loads(out)
+        for group in ("contact", "point"):
+            sec = payload[group]
+            assert sec["inconclusive"] is True and sec["row"] == "VI"
+            assert sec["diagnostics"]["tuple_verified"] is None
+            assert sec["diagnostics"]["reason"].startswith(
+                "representative check inconclusive: ")
+
     def test_batch(self, tmp_path, capsys):
         batch = tmp_path / "odes.txt"
         batch.write_text("0\nexp(q)\n")

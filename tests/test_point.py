@@ -108,6 +108,22 @@ class TestClassify:
         res = classify_point(Ode3.from_text("q^2 + y"))
         assert res.row == "general"
 
+    def test_unfinished_rep_check_on_the_w_zero_path(self, monkeypatch):
+        # row XII (W = 0) checks I5p, I7p, I8p against q^(3/2); a check that
+        # cannot be completed leaves the row inconclusive, not "general"
+        from ode3geom import point
+        from ode3geom.classify import InconclusiveError
+
+        def starved(*_args):
+            raise InconclusiveError("no admissible samples for constant value")
+        monkeypatch.setattr(point, "_verify_point_rep", starved)
+        res = classify_point(Ode3.from_text("(q+5)^(3/2)"))
+        assert (res.row, res.inconclusive) == ("XII", True)
+        assert res.diagnostics["tuple_verified"] is None
+        assert res.diagnostics["reason"] == (
+            "representative check inconclusive: "
+            "no admissible samples for constant value")
+
     def test_contact_rows_dominate_their_point_rows(self):
         # point symmetries embed in contact symmetries, so each contact-row
         # canonical form lands in a point row of equal or smaller dimension
