@@ -376,8 +376,7 @@ def _guard_eval(e: Expr, at) -> float:
 
 def chazy_transform(ode: Ode3, base: JetPoint, c1: float, c2: float,
                     matched: Optional[ChazyClass] = None,
-                    config: ZeroConfig = DEFAULT_CONFIG,
-                    tol: float = 1e-10) -> ChazyMaps:
+                    config: ZeroConfig = DEFAULT_CONFIG) -> ChazyMaps:
     """Reconstruct the fibre-preserving map onto the canonical class by
     quadrature of the closed-form logarithmic derivatives.
 
@@ -425,11 +424,11 @@ def chazy_transform(ode: Ode3, base: JetPoint, c1: float, c2: float,
         ypart = integrate(
             lambda s: _guard_eval(y_integrand,
                                   {"x": x0, "y": s, "p": p0, "q": q0}),
-            y0, y, tol=tol)
+            y0, y)
         xpart = integrate(
             lambda t: _guard_eval(x_integrand,
                                   {"x": t, "y": y, "p": p0, "q": q0}),
-            x0, x, tol=tol)
+            x0, x)
         return base_term + ypart + xpart
 
     sign0 = math.copysign(1.0, c1)
@@ -445,7 +444,7 @@ def chazy_transform(ode: Ode3, base: JetPoint, c1: float, c2: float,
             lambda t: _guard_eval(xbar_integrand,
                                   {"x": t, "y": y0, "p": p0, "q": q0})
             / ybar(t, y0),
-            x0, x, tol=tol)
+            x0, x)
         return -val / (2.0 * kappa * tau0) + c2
 
     return ChazyMaps(x_integrand=x_integrand, y_integrand=y_integrand,

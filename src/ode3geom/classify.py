@@ -10,6 +10,11 @@ from .expr import (DEFAULT_CONFIG, Expr, SignConsistencyError, ZeroConfig,
                    values_on_samples)
 
 JET = ("x", "y", "p", "q")
+# Relative tolerances: samples of one constant, a sampled value and the
+# rational it snaps to, and two tuples of constants that match.
+SPREAD_TOL = 1e-7
+SNAP_TOL = 1e-7
+MATCH_TOL = 1e-6
 
 
 class InconclusiveError(ArithmeticError):
@@ -51,13 +56,43 @@ def run_classifier(group: str, classify, ode, config: ZeroConfig
                                     diagnostics={"reason": str(exc)})
 
 
-def unverified(result: ClassificationResult,
-               exc: ArithmeticError) -> ClassificationResult:
-    """result, marked inconclusive: the comparison of its row with the
-    canonical representative could not be completed."""
-    result.inconclusive = True
-    result.diagnostics.update(
-        tuple_verified=None, reason=f"representative check inconclusive: {exc}")
+def rep_verdict(rep, verify, row: str, config: ZeroConfig):
+    """verify(rep, rep_config(row, config)), the comparison of a candidate
+    row with its canonical representative rep: True or False, None without
+    a representative, or the ArithmeticError that kept the comparison from
+    being completed."""
+    if rep is None:
+        return None
+    try:
+        return verify(rep, rep_config(row, config))
+    except ArithmeticError as exc:
+        return exc
+
+
+def table_row(group: str, row: str, mu, verdict,
+              **fields) -> ClassificationResult:
+    """A dimension-4 table row with its parameter mu, snapped to a small
+    rational when one is close, and the rep_verdict on it.
+
+    True keeps the row; False demotes it to "general" with the reason; an
+    ArithmeticError keeps the row and marks it inconclusive; None, no
+    representative, leaves the row unconfirmed."""
+    result = ClassificationResult(group=group, row=row, dimension=4,
+                                  **fields)
+    if mu is not None:
+        ms = snap_rational(mu)
+        result.parameters["mu"] = ms if ms is not None else mu
+    if isinstance(verdict, ArithmeticError):
+        result.inconclusive = True
+        result.diagnostics.update(
+            tuple_verified=None,
+            reason=f"representative check inconclusive: {verdict}")
+    elif verdict is not None:
+        result.diagnostics["tuple_verified"] = verdict
+        if not verdict:
+            result.row, result.dimension = "general", None
+            result.diagnostics["reason"] = \
+                "candidate tuple differs from canonical representative"
     return result
 
 
@@ -91,8 +126,7 @@ def is_constant(e: Expr, config: ZeroConfig = DEFAULT_CONFIG) -> bool:
     return True
 
 
-def const_value(e: Expr, config: ZeroConfig = DEFAULT_CONFIG,
-                spread_tol: float = 1e-7) -> float:
+def const_value(e: Expr, config: ZeroConfig = DEFAULT_CONFIG) -> float:
     """Numeric value of an expression known to be constant on the box.
 
     Individual samples can lose all their digits to cancellation on large
@@ -106,7 +140,7 @@ def const_value(e: Expr, config: ZeroConfig = DEFAULT_CONFIG,
         raise InconclusiveError("no admissible samples for constant value")
     vals.sort()
     med = vals[len(vals) // 2]
-    good = [v for v in vals if abs(v - med) <= spread_tol * (1.0 + abs(med))]
+    good = [v for v in vals if abs(v - med) <= SPREAD_TOL * (1.0 + abs(med))]
     if len(good) < max(3, (2 * len(vals)) // 3):
         raise SignConsistencyError(
             f"expected a constant, values spread over "
@@ -132,11 +166,10 @@ def constant_parameter(e: Expr, config: ZeroConfig):
     return mu
 
 
-def snap_rational(x: float, max_den: int = 64,
-                  tol: float = 1e-7) -> Optional[Fraction]:
-    """Nearest small-denominator rational within tol, else None."""
+def snap_rational(x: float, max_den: int = 64) -> Optional[Fraction]:
+    """Nearest small-denominator rational within SNAP_TOL, else None."""
     f = Fraction(x).limit_denominator(max_den)
-    if abs(float(f) - x) <= tol * (1.0 + abs(x)):
+    if abs(float(f) - x) <= SNAP_TOL * (1.0 + abs(x)):
         return f
     return None
 
@@ -153,10 +186,10 @@ def rep_config(row: str, config: ZeroConfig) -> ZeroConfig:
     return replace(config, box=box)
 
 
-def tuples_match(a, b, tol: float = 1e-6) -> bool:
+def tuples_match(a, b) -> bool:
     if len(a) != len(b):
         return False
-    return all(abs(x - y) <= tol * (1.0 + abs(x) + abs(y))
+    return all(abs(x - y) <= MATCH_TOL * (1.0 + abs(x) + abs(y))
                for x, y in zip(a, b))
 
 

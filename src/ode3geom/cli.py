@@ -17,8 +17,7 @@ from .expr import (DEFAULT_CONFIG, DomainError, JetPoint, ParseError,
                    SignConsistencyError, SingularPointError, ZeroConfig,
                    normalize, parse)
 from .geometry import (NonWunschmannError, RicciZeroError, WeylGateError,
-                       conformal_metric, cotton_components, lorentz_check,
-                       weyl_structure)
+                       cotton, lorentz_check, metric, weyl_structure)
 from .jet import Ode3, jet_invariants
 from .point import classify_point, point_basic_invariants, point_trivial_check
 from .transform import PointTransform, pullback_ode
@@ -121,12 +120,12 @@ def report_geometry(ode: Ode3, cfg: ZeroConfig) -> dict:
     if not inv.w_verdict.is_zero:
         out["error"] = "NonWunschmann"
         return out
-    g = conformal_metric(ode, cfg)
+    g = metric(ode)
     coords = ("dx", "dy", "dp", "dq")
     out["metric"] = {f"{coords[i]}.{coords[j]}": sym(g.m[i][j])
                      for i in range(4) for j in range(i, 4)
                      if not g.m[i][j].rf.is_zero_poly()}
-    dps = cotton_components(ode, cfg)
+    dps = cotton(ode)
     out["cotton_zero"] = all(tf.is_zero_on(cfg) for tf in dps)
     try:
         wd = weyl_structure(ode, cfg)
@@ -356,11 +355,7 @@ def _run_single(args, cfg: ZeroConfig) -> int:
         return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
     if args.command == "geometry":
         ode = _read_ode(args.ode)
-        try:
-            payload = report_geometry(ode, cfg)
-        except NonWunschmannError as exc:
-            _emit({"error": str(exc), "kind": "NonWunschmann"}, args.json)
-            return EXIT_INCONCLUSIVE
+        payload = report_geometry(ode, cfg)
         _emit(payload, args.json)
         return EXIT_INCONCLUSIVE if payload.get("error") else EXIT_OK
     if args.command == "chazy":

@@ -9,9 +9,9 @@ from fractions import Fraction as F3
 from typing import Optional
 
 from .classify import (ClassificationResult, InconclusiveError, const_value,
-                       constant_parameter, is_constant, rep_config, require,
-                       run_classifier, snap_rational, tuples_match,
-                       unverified)
+                       constant_parameter, is_constant, rep_verdict,
+                       require, run_classifier, snap_rational, table_row,
+                       tuples_match)
 from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, abs_, atan, exp, is_zero,
                    normalize, num, pow_, sign_on_domain, var)
 from .forms import Coframe, OneForm, d, decompose, decompose_many
@@ -295,12 +295,7 @@ def invariants_reduced(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG
     if br.branch == TRIVIAL_FLAT:
         raise NotApplicableError("trivial-flat: no reduced coframe")
     if br.branch == W_NONZERO:
-        case = 0
-        for idx, builder in ((1, bas_k), (2, bas_e), (3, bas_h), (4, bas_b)):
-            if not require(is_zero(builder(ode), config=config),
-                           f"reduction case {idx}"):
-                case = idx
-                break
+        case = _reduction_case(ode, config)
         if case == 0:
             raise NotApplicableError(
                 "b = e = h = k = 0: linearizable, no coframe reduction")
@@ -320,9 +315,7 @@ def invariants_reduced(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG
         W = klmw(ode).W
         Wq = pd(W, "q")
         eps_direct = normalize(2 * Wq * Wq - 3 * W * pd(W, "q", "q"))
-        dv = is_zero(eps_direct, config=config)
-        eps_formula = 0 if dv.is_zero else sign_on_domain(eps_direct,
-                                                          config=config)
+        eps_formula = sign_on_domain(eps_direct, config=config)
         slots_named = _name_slots(slots)
         constancy = {nm: is_constant(ex, config) for nm, ex in I.items()}
         return ContactCoframeInvariants(
@@ -342,14 +335,12 @@ def invariants_reduced(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG
         eps = 0
     else:
         eps = sign_on_domain(eps_expr, config=config)
-    dv = is_zero(disc1, config=config)
-    eps_sq = 0 if dv.is_zero else sign_on_domain(disc1, config=config)
+    eps_sq = sign_on_domain(disc1, config=config)
     F = ode.F
     K, L = klmw(ode)[:2]
     cubed = normalize(2 * pd(F, "q", "q", "q", "q") * pd(L, "q", "q")
                       - 3 * pd(K, "q", "q", "q") ** 3)
-    cv = is_zero(cubed, config=config)
-    eps_cubed = 0 if cv.is_zero else sign_on_domain(cubed, config=config)
+    eps_cubed = sign_on_domain(cubed, config=config)
     slots_named = _name_slots(slots)
     constancy = {nm: is_constant(ex, config) for nm, ex in I.items()}
     return ContactCoframeInvariants(
@@ -369,13 +360,14 @@ def _name_slots(slots) -> dict:
 # ---------------------------------------------------------- classification
 
 
-def _lin_check(ode: Ode3, config: ZeroConfig):
-    """All of b, e, h, k zero?  Checked cheapest-first with early exit."""
-    for nm, builder in (("k", bas_k), ("e", bas_e), ("h", bas_h),
-                        ("b", bas_b)):
+def _reduction_case(ode: Ode3, config: ZeroConfig) -> int:
+    """The W != 0 reduction case: 1 to 4 for the first of k, e, h, b
+    (cheapest first) that is nonzero, 0 when all four vanish."""
+    for case, (nm, builder) in enumerate(
+            (("k", bas_k), ("e", bas_e), ("h", bas_h), ("b", bas_b)), 1):
         if not require(is_zero(builder(ode), config=config), nm):
-            return False
-    return True
+            return case
+    return 0
 
 
 def _mu_of_x(a: Expr, config: ZeroConfig) -> bool:
@@ -396,9 +388,9 @@ def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
             group="contact", row="I", dimension=10,
             evidence=["W=0", "F_qqqq=0"])
     if br.branch == W_NONZERO:
-        allz = _lin_check(ode, config)
+        case = _reduction_case(ode, config)
         a = bas_a(ode)
-        if allz:
+        if case == 0:
             if is_constant(a, config):
                 return ClassificationResult(
                     group="contact", row="II", dimension=5,
@@ -440,8 +432,11 @@ def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
                 group="contact", row="general",
                 diagnostics={"reason": "invariants off every table row",
                              "eps1": red.eps, **vals})
-        return _table_result(red, row, mu, rep, vals,
-                             [f"eps1={red.eps}", f"I1={i1:.9g}"], config)
+        verdict = rep_verdict(
+            rep, lambda r, cfg: _verify_against_rep(red, r, cfg), row, config)
+        return table_row("contact", row, mu, verdict,
+                         evidence=[f"eps1={red.eps}", f"I1={i1:.9g}"],
+                         diagnostics=dict(vals))
     # W = 0, F_qqqq != 0
     red = invariants_reduced(ode, config)
     if not all(red.constancy.values()):
@@ -483,9 +478,12 @@ def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
             group="contact", row="general",
             diagnostics={"reason": "W=0 invariants off every table row",
                          "eps2": eps, **vals})
-    return _table_result(red, row, mu, rep or w0_rep(row, mu), vals,
-                         [f"eps2={eps}", f"I7={i7:.9g}", f"I8={i8:.9g}"],
-                         config)
+    verdict = rep_verdict(rep or w0_rep(row, mu),
+                          lambda r, cfg: _verify_against_rep(red, r, cfg),
+                          row, config)
+    return table_row("contact", row, mu, verdict,
+                     evidence=[f"eps2={eps}", f"I7={i7:.9g}", f"I8={i8:.9g}"],
+                     diagnostics=dict(vals))
 
 
 def w0_rep(row: str, mu: Optional[float]) -> Optional[Ode3]:
@@ -507,28 +505,6 @@ def w0_rep(row: str, mu: Optional[float]) -> Optional[Ode3]:
                        + 6 * q * p - 4 * p ** 3),
         "X": lambda: (m * pow_(q * q / (p * p) + p * p, F3(3, 2))
                       + 3 * q * q / p + p ** 3)}[row]()))
-
-
-def _table_result(red: ContactCoframeInvariants, row: str, mu, rep, vals: dict,
-                  evidence: list, config: ZeroConfig) -> ClassificationResult:
-    """A dimension-4 table row, demoted to "general" when the full tuple
-    differs from that of the canonical representative rep."""
-    result = ClassificationResult(group="contact", row=row, dimension=4,
-                                  evidence=evidence, diagnostics=dict(vals))
-    if mu is not None:
-        ms = snap_rational(mu)
-        result.parameters["mu"] = ms if ms is not None else mu
-    if rep is not None:
-        try:
-            ok = _verify_against_rep(red, rep, rep_config(row, config))
-        except ArithmeticError as exc:
-            return unverified(result, exc)
-        result.diagnostics["tuple_verified"] = ok
-        if not ok:
-            result.row, result.dimension = "general", None
-            result.diagnostics["reason"] = \
-                "candidate tuple differs from canonical representative"
-    return result
 
 
 def _verify_against_rep(red: ContactCoframeInvariants, rep: Ode3,
@@ -562,7 +538,7 @@ def linearizable_contact(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG
         return LinearizableResult(status="constant", mu=F3(0))
     if br.branch == W0_FQQQQ:
         return LinearizableResult(status="no")
-    if not _lin_check(ode, config):
+    if _reduction_case(ode, config):
         return LinearizableResult(status="no")
     a = bas_a(ode)
     if is_constant(a, config):

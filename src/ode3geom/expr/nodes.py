@@ -343,12 +343,8 @@ def normalize(e: Expr) -> Expr:
 # ------------------------------------------------------------- differentiation
 
 
-def partial(e: Expr, v: Union[str, Expr]) -> Expr:
-    """Exact partial derivative with respect to a variable."""
-    if isinstance(v, Expr):
-        if v.kind != VARK:
-            raise ValueError("can only differentiate with respect to a variable")
-        v = v.data
+def partial(e: Expr, v: str) -> Expr:
+    """Exact partial derivative with respect to the variable named v."""
     return from_rf(_p.drf(e.rf, _p.var_atom(v)))
 
 

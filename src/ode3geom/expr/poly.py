@@ -420,7 +420,7 @@ class _DivisionUndecided(Exception):
 
 def poly_div_exact(a: dict, b: dict) -> Optional[dict]:
     """Exact division a/b over the rationals, or None when b does not
-    divide a.  b nonzero.  Raises _DivisionUndecided when the reduction runs
+    divide a.  a and b nonzero.  Raises _DivisionUndecided when the reduction runs
     past _DIV_GUARD steps.
 
     Uses a lexicographic order over the joint atom universe (a genuine
@@ -433,22 +433,6 @@ def poly_div_exact(a: dict, b: dict) -> Optional[dict]:
     tc(b) must divide tc(a) and the first fractional quotient coefficient
     (lc(a)/lc(b) at the first step) ends the division.
     """
-    if not a:
-        return {}
-    if poly_is_const(b):
-        c = b[MONE]
-        return a if c == 1 else {m: _frac_c(cc, c) for m, cc in a.items()}
-    if len(b) == 1:
-        (mb, cb), = b.items()
-        inv = tuple((aid, _exp_norm(-e)) for aid, e in mb)
-        out = {}
-        for m, c in a.items():
-            mm = mono_mul(m, inv)
-            for _aid, e in mm:
-                if e < 0:
-                    return None
-            out[mm] = _frac_c(c, cb)
-        return out
     # A step's new remainder terms lie within the span of b's exponents
     # (at most twice the operands' largest) of its lead, and its quotient
     # term is that lead over lead(b); so over at most _DIV_GUARD steps no

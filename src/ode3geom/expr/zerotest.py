@@ -20,6 +20,9 @@ from .poly import DomainError, SingularPointError, ZeroBaseError
 
 DEFAULT_BOX = {"x": (-1.0, 1.0), "y": (-1.0, 1.0),
                "p": (0.5, 2.0), "q": (0.5, 2.0)}
+# A negative power is a pole where |base| <= MARGIN * (1 + its term mass).
+MARGIN = 1e-7
+_TREE_WEIGHT_CAP = 48        # _tree_weight counts no further
 
 
 class SignConsistencyError(ArithmeticError):
@@ -68,11 +71,7 @@ class ZeroConfig:
     samples: int = 16
     tol: float = 1e-9
     box: dict = field(default_factory=lambda: dict(DEFAULT_BOX))
-    margin: float = 1e-7
     attempts: int = 1200
-
-    def with_seed(self, seed: int) -> "ZeroConfig":
-        return replace(self, seed=seed)
 
 
 DEFAULT_CONFIG = ZeroConfig()
@@ -103,7 +102,7 @@ def _admissible(cfg: ZeroConfig, signed_rfs, signed_trees, measure):
         env = next(gen)
         cache: dict = {}
         try:
-            vals = [ev(arg, (), env, cache, cfg.margin)[0]
+            vals = [ev(arg, (), env, cache, MARGIN)[0]
                     for ev, arg in signed]
             for i, val in enumerate(vals):
                 s = (val > 0) - (val < 0)
@@ -143,7 +142,7 @@ def _verdict(cfg: ZeroConfig, residuals) -> ZeroVerdict:
     return ZeroVerdict("zero", residual=worst, reason="sampled")
 
 
-def is_zero(e: Union[Expr, int], seed: Optional[int] = None,
+def is_zero(e: Union[Expr, int],
             config: ZeroConfig = DEFAULT_CONFIG) -> ZeroVerdict:
     """Deterministic randomised zero test.
 
@@ -152,16 +151,14 @@ def is_zero(e: Union[Expr, int], seed: Optional[int] = None,
     """
     if isinstance(e, int):
         e = Expr._coerce(e)
-    cfg = config if seed is None else config.with_seed(seed)
     if e.kind is not None and e._rf is None and _tree_weight(e) > 40:
         # large unexpanded tree: sample it without lowering
         def tree_residual(env, cache):
-            val, _dv, mass, _dm = eval_tree_dual(e, (), env, cache,
-                                                 cfg.margin)
+            val, _dv, mass, _dm = eval_tree_dual(e, (), env, cache, MARGIN)
             return abs(val) / (1.0 + mass)
 
-        return _verdict(cfg, _admissible(cfg, *_signed_parts(e),
-                                         tree_residual))
+        return _verdict(config, _admissible(config, *_signed_parts(e),
+                                            tree_residual))
     rf = e.rf
     if rf.is_zero_poly():
         return ZeroVerdict("zero", reason="symbolic")
@@ -171,15 +168,15 @@ def is_zero(e: Union[Expr, int], seed: Optional[int] = None,
             return ZeroVerdict("zero", reason="symbolic")
         return ZeroVerdict("nonzero", residual=abs(float(v)),
                            reason="constant")
-    return _verdict(cfg, _admissible(
-        cfg, _p.rf_signed_atoms(rf), (),
-        lambda env, cache: _p.eval_rf_residual(rf, env, cache, cfg.margin)))
+    return _verdict(config, _admissible(
+        config, _p.rf_signed_atoms(rf), (),
+        lambda env, cache: _p.eval_rf_residual(rf, env, cache, MARGIN)))
 
 
-def _tree_weight(e: Expr, cap: int = 48) -> int:
+def _tree_weight(e: Expr) -> int:
     stack = [e]
     n = 0
-    while stack and n <= cap:
+    while stack and n <= _TREE_WEIGHT_CAP:
         t = stack.pop()
         n += 1
         if t.kind is not None:
@@ -187,14 +184,13 @@ def _tree_weight(e: Expr, cap: int = 48) -> int:
     return n
 
 
-def sign_on_domain(e: Expr, seed: Optional[int] = None,
-                   config: ZeroConfig = DEFAULT_CONFIG) -> int:
+def sign_on_domain(e: Expr, config: ZeroConfig = DEFAULT_CONFIG) -> int:
     """Consistent sign of e on the box: +1, -1, or 0 (when is_zero says so).
 
-    Raises SignConsistencyError if samples disagree.
+    Raises SignConsistencyError if samples disagree or is_zero is
+    inconclusive.
     """
-    cfg = config if seed is None else config.with_seed(seed)
-    v = is_zero(e, config=cfg)
+    v = is_zero(e, config=config)
     if v.is_zero:
         return 0
     if v.status == "inconclusive":
@@ -202,12 +198,12 @@ def sign_on_domain(e: Expr, seed: Optional[int] = None,
     rf = e.rf
 
     def value(env, cache):
-        return _p.eval_rf_dual(rf, (), env, cache, cfg.margin)[0]
+        return _p.eval_rf_dual(rf, (), env, cache, MARGIN)[0]
 
     sign = 0
     count = 0
-    for _env, val in islice(_admissible(cfg, _p.rf_signed_atoms(rf), (),
-                                        value), cfg.samples):
+    for _env, val in islice(_admissible(config, _p.rf_signed_atoms(rf), (),
+                                        value), config.samples):
         count += 1
         s = (val > 0) - (val < 0)
         if s == 0:
@@ -216,7 +212,7 @@ def sign_on_domain(e: Expr, seed: Optional[int] = None,
             sign = s
         elif sign != s:
             raise SignConsistencyError("expression changes sign on the box")
-    if count < cfg.samples:
+    if count < config.samples:
         raise SignConsistencyError("not enough admissible sample points")
     return sign
 
@@ -254,7 +250,7 @@ class PartialDraws:
 
     def _measure(self, env, _cache):
         # a cache of its own: the point's cache holds value-mode entries
-        return _partial_residuals(self.e, self.vs, env, self.config.margin)
+        return _partial_residuals(self.e, self.vs, env)
 
     def residuals(self, v: str):
         """(env, residual of d/dv) at each draw where d/dv evaluates."""
@@ -281,21 +277,21 @@ class PartialDraws:
         return True
 
 
-def _partial_residuals(e: Expr, vs: tuple, env: dict, margin: float):
+def _partial_residuals(e: Expr, vs: tuple, env: dict):
     """|de/dv| / (1 + |e| + |de/dv| + its mass) for each v in vs, None
     where d/dv cannot be evaluated at env or its residual is not finite.
     A zero base in a derivative sends the point through one pass per
     variable, so that it drops out only for the variables that need that
     derivative."""
     try:
-        val, dval, _m, dmass = eval_tree_dual(e, vs, env, {}, margin)
+        val, dval, _m, dmass = eval_tree_dual(e, vs, env, {}, MARGIN)
     except ZeroBaseError:
         if len(vs) == 1:
             return (None,)
         out = []
         for v in vs:
             try:
-                out += _partial_residuals(e, (v,), env, margin)
+                out += _partial_residuals(e, (v,), env)
             except (SingularPointError, DomainError, OverflowError):
                 out.append(None)
         return tuple(out)
@@ -304,18 +300,16 @@ def _partial_residuals(e: Expr, vs: tuple, env: dict, margin: float):
     return tuple(r if math.isfinite(r) else None for r in out)
 
 
-def partial_is_zero(e: Expr, v: str, seed: Optional[int] = None,
-                    config: ZeroConfig = DEFAULT_CONFIG,
+def partial_is_zero(e: Expr, v: str, config: ZeroConfig = DEFAULT_CONFIG,
                     draws: Optional[PartialDraws] = None) -> ZeroVerdict:
     """Verdict for d(e)/dv == 0 on the box, sampled by forward-mode dual
     evaluation so the derivative is never assembled symbolically.
 
     draws, a PartialDraws of e with v among its variables, lets several
     partials share one gradient pass per point, and its config stands for
-    seed and config; by default the call draws for v alone."""
+    config; by default the call draws for v alone."""
     if draws is None:
-        cfg = config if seed is None else config.with_seed(seed)
-        draws = PartialDraws(e, (v,), cfg)
+        draws = PartialDraws(e, (v,), config)
     return _verdict(draws.config, draws.residuals(v))
 
 
@@ -418,7 +412,7 @@ def values_on_samples(e: Expr, config: ZeroConfig = DEFAULT_CONFIG,
     cfg = config if n is None else replace(config, samples=n)
 
     def value(env, cache):
-        val, _dv, mass, _dm = eval_tree_dual(e, (), env, cache, cfg.margin)
+        val, _dv, mass, _dm = eval_tree_dual(e, (), env, cache, MARGIN)
         if val != 0.0 and abs(val) < 1e-9 * mass:
             raise SingularPointError("ill-conditioned evaluation point")
         return val

@@ -126,26 +126,6 @@ class Coframe:
         return [wedge(self.theta[j], self.theta[k]) for j, k in PAIRS]
 
 
-def det4(m: Sequence[Sequence[Expr]]) -> Expr:
-    def det2(a, b, c, d2):
-        return a * d2 - b * c
-
-    def det3(rows, cols):
-        (i0, i1, i2), (j0, j1, j2) = rows, cols
-        return (m[i0][j0] * det2(m[i1][j1], m[i1][j2], m[i2][j1], m[i2][j2])
-                - m[i0][j1] * det2(m[i1][j0], m[i1][j2], m[i2][j0], m[i2][j2])
-                + m[i0][j2] * det2(m[i1][j0], m[i1][j1], m[i2][j0], m[i2][j1]))
-
-    total = _ZERO
-    sign = 1
-    for j in range(4):
-        cols = tuple(k for k in range(4) if k != j)
-        term = m[0][j] * det3((1, 2, 3), cols)
-        total = total + (term if sign > 0 else -term)
-        sign = -sign
-    return total
-
-
 def _solve_linear_multi(mat: List[List[Expr]], rhss: List[List[Expr]],
                         config: ZeroConfig) -> List[List[Expr]]:
     """Solve mat * t = rhs for several right-hand sides by Gaussian

@@ -11,8 +11,7 @@ from typing import Optional
 from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, is_zero, normalize, num,
                    sign_on_domain, var)
 from .forms import DX, Coframe, OneForm, d, decompose
-from .jet import (JetInvariants, Ode3, jet_invariants, klmw, pd, per_ode,
-                  total_derivative)
+from .jet import Ode3, jet_invariants, klmw, pd, per_ode, total_derivative
 
 
 class NonWunschmannError(ArithmeticError):
@@ -27,13 +26,11 @@ class RicciZeroError(ArithmeticError):
     """The Einstein-Weyl Ricci scalar vanishes; no Lorentzian reduction."""
 
 
-def _w_zero(ode: Ode3, config: ZeroConfig) -> JetInvariants:
-    """The jet invariants, once W is zero on config's box."""
-    inv = jet_invariants(ode, config)
-    if not inv.w_verdict.is_zero:
-        raise NonWunschmannError(
-            f"Wunschmann invariant is {inv.w_verdict.status}")
-    return inv
+def _w_zero(ode: Ode3, config: ZeroConfig) -> None:
+    """Raise NonWunschmannError unless W is zero on config's box."""
+    wv = jet_invariants(ode, config).w_verdict
+    if not wv.is_zero:
+        raise NonWunschmannError(f"Wunschmann invariant is {wv.status}")
 
 
 @per_ode
@@ -69,9 +66,6 @@ class QuadraticForm4:
 
     m: tuple  # 4-tuple of 4-tuples
 
-    def entry(self, i: int, j: int) -> Expr:
-        return self.m[i][j]
-
     def apply(self, vf) -> tuple:
         """Contract with a vector field: the four covector components."""
         comps = vf.components()
@@ -79,10 +73,11 @@ class QuadraticForm4:
                          num(0)) for i in range(4))
 
 
-def conformal_metric(ode: Ode3,
-                     config: ZeroConfig = DEFAULT_CONFIG) -> QuadraticForm4:
-    """g = 2 omega^1 omega~^3 - (omega^2)^2; needs W = 0."""
-    _w_zero(ode, config)
+@per_ode
+def metric(ode: Ode3) -> QuadraticForm4:
+    """g = 2 omega^1 omega~^3 - (omega^2)^2, built from the ODE alone: no
+    W verdict is taken, so a caller that has not found W = 0 itself calls
+    conformal_metric instead."""
     w1, w2, w3, _w4 = omega_forms(ode)
     s13 = _sym(w1, w3)
     s22 = _sym(w2, w2)
@@ -91,12 +86,27 @@ def conformal_metric(ode: Ode3,
     return QuadraticForm4(rows)
 
 
+def conformal_metric(ode: Ode3,
+                     config: ZeroConfig = DEFAULT_CONFIG) -> QuadraticForm4:
+    """metric(ode), once W is zero on config's box."""
+    _w_zero(ode, config)
+    return metric(ode)
+
+
 def cotton_components(ode: Ode3,
                       config: ZeroConfig = DEFAULT_CONFIG) -> tuple:
-    """The three Cotton 2-form components at the identity section."""
-    inv = _w_zero(ode, config)
+    """cotton(ode), once W is zero on config's box."""
+    _w_zero(ode, config)
+    return cotton(ode)
+
+
+@per_ode
+def cotton(ode: Ode3) -> tuple:
+    """The three Cotton 2-form components at the identity section, built
+    from the ODE alone: no W verdict is taken, so a caller that has not
+    found W = 0 itself calls cotton_components instead."""
     F = ode.F
-    K, L, M = inv.K, inv.L, inv.M
+    K, L, M = klmw(ode)[:3]
     Kq = pd(K, "q")
     w1, w2, w3, _ = omega_forms(ode)
 
@@ -198,14 +208,14 @@ def weyl_structure(ode: Ode3,
                    config: ZeroConfig = DEFAULT_CONFIG) -> WeylData:
     """The Einstein-Weyl pair (g, phi); gated on W = 0 and the Cartan
     condition D^2 F_qq - D F_qp + F_qy = 0."""
-    inv = _w_zero(ode, config)
+    _w_zero(ode, config)
     cart = cartan_second_condition(ode)
     cv = is_zero(cart, config=config)
     if not cv.is_zero:
         raise WeylGateError(f"Cartan condition is {cv.status}")
-    g = conformal_metric(ode, config)
+    g = metric(ode)
     F = ode.F
-    K = inv.K
+    K = klmw(ode).K
     w1, w2, _w3, _w4 = omega_forms(ode)
     coef1 = normalize(-(2 * pd(K, "q")
                         + F3(1, 9) * pd(F, "q", "q") * pd(F, "q")

@@ -163,18 +163,6 @@ class VectorField:
         return (self.cx, self.cy, self.cp, self.cq)
 
 
-def frame_derivative(f: Expr, frame: Sequence[VectorField],
-                     config: Optional[ZeroConfig] = None) -> tuple:
-    """Coframe derivatives X_i(f) along the four frame fields.
-
-    Pass a config to have the frame's nondegeneracy checked first."""
-    if config is not None and not frame_nondegenerate(frame, config):
-        raise ArithmeticError("frame degenerate on the sample domain")
+def frame_derivative(f: Expr, frame: Sequence[VectorField]) -> tuple:
+    """Coframe derivatives X_i(f) along the four frame fields."""
     return tuple(Xi(f) for Xi in frame)
-
-
-def frame_nondegenerate(frame: Sequence[VectorField],
-                        config: ZeroConfig = DEFAULT_CONFIG) -> bool:
-    from .forms import det4
-    m = [list(Xi.components()) for Xi in frame]
-    return is_zero(det4(m), config=config).is_nonzero

@@ -8,8 +8,8 @@ from fractions import Fraction as F3
 from typing import Optional
 
 from .classify import (ClassificationResult, const_value, constant_parameter,
-                       is_constant, rep_config, require, run_classifier,
-                       snap_rational, tuples_match, unverified)
+                       is_constant, rep_verdict, require, run_classifier,
+                       snap_rational, table_row, tuples_match)
 from .contact import (PAIR, _decompose_all, _mu_of_x, _plain_omegas,
                       _z_data, bas_a, w0_rep)
 from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, is_zero, normalize, num,
@@ -325,23 +325,13 @@ def _classify_point_w0(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
         row, mu = "VIII", math.sqrt(2.0 / (i8 + 1.5))
     else:
         row, mu = "IX", math.sqrt(-2.0 / (i8 + 1.5))
-    rep = w0_rep(row, mu)
-    result = ClassificationResult(
-        group="point", row=row, dimension=4,
-        evidence=["W=0", "F_qqqq!=0", f"I8p={i8:.9g}"], diagnostics=nums)
-    if mu is not None:
-        ms = snap_rational(mu)
-        result.parameters["mu"] = ms if ms is not None else mu
-    if rep is not None:
-        try:
-            ok = _verify_point_rep(nums, rep, gate_pipeline,
-                                   rep_config(row, config))
-        except ArithmeticError as exc:
-            return unverified(result, exc)
-        result.diagnostics["tuple_verified"] = ok
-        if not ok:
-            result.row, result.dimension = "general", None
-    return result
+    verdict = rep_verdict(
+        w0_rep(row, mu),
+        lambda r, cfg: _verify_point_rep(nums, r, gate_pipeline, cfg),
+        row, config)
+    return table_row(
+        "point", row, mu, verdict,
+        evidence=["W=0", "F_qqqq!=0", f"I8p={i8:.9g}"], diagnostics=dict(nums))
 
 
 def _classify_point_wnz(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
@@ -406,18 +396,23 @@ def _classify_point_wnz(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
                     ("II.3", ms,
                      Ode3(normalize((3 * p + num(ms)) * q * q
                                     / (p * p + 1)))))
+    def verify(rep, cfg):
+        return _verify_point_rep(nums, rep, point_reduced_w_nonzero, cfg)
+
+    # the first candidate that matches; else the first one whose check
+    # could not be completed
     unsettled = None
     for row, mu, rep in candidates:
-        result = ClassificationResult(
-            group="point", row=row, dimension=4,
-            parameters={} if mu is None else {"mu": mu},
+        verdict = rep_verdict(rep, verify, row, config)
+        if verdict is False or (verdict is not True and unsettled):
+            continue
+        result = table_row(
+            "point", row, mu, verdict,
             evidence=["W!=0", f"I1p={i1:.9g}", f"I2p={i2:.9g}"],
-            diagnostics=dict(nums, tuple_verified=True))
-        try:
-            if _verify_point_rep(nums, rep, point_reduced_w_nonzero, config):
-                return result
-        except ArithmeticError as exc:
-            unsettled = unsettled or unverified(result, exc)
+            diagnostics=dict(nums))
+        if verdict is True:
+            return result
+        unsettled = result
     return unsettled or ClassificationResult(
         group="point", row="general", evidence=["W!=0"],
         diagnostics=dict(nums, reason="no canonical representative matches"))

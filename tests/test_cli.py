@@ -78,6 +78,25 @@ class TestGeometry:
                             capsys)
         assert code == 2
 
+    def test_w_verdict_taken_once_per_gate(self, capsys, monkeypatch):
+        # the report's own gate, then weyl_structure's and lorentz_check's;
+        # the metric and the Cotton forms are built past the report's gate
+        from ode3geom import jet
+        inner = jet.jet_invariants
+        calls = []
+
+        def spy(ode, config=DEFAULT_CONFIG):
+            calls.append(ode.F)
+            return inner(ode, config)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("ode3geom") and \
+                    getattr(mod, "jet_invariants", None) is inner:
+                monkeypatch.setattr(mod, "jet_invariants", spy)
+        code, _out = run_cli(["geometry", "--ode", "3*q^2/p", "--json"],
+                             capsys)
+        assert code == 0
+        assert len(calls) <= 3
+
 
 class TestChazy:
     def test_class_ii(self, capsys):

@@ -15,6 +15,9 @@ from ode3geom.jet import Ode3, WunschmannZeroError
 CFG_VIII = replace(DEFAULT_CONFIG,
                    box={"x": (-1, 1), "y": (0.8, 1.0),
                         "p": (0.5, 0.7), "q": (1.2, 2.0)})
+CFG_IX = replace(DEFAULT_CONFIG,
+                 box={"x": (-1, 1), "y": (-1, 1),
+                      "p": (0.5, 0.9), "q": (1.2, 2.0)})
 
 
 class TestBranch:
@@ -117,6 +120,11 @@ ROWS = [
     ("(2*q*y - p^2)^(3/2)/y^2", CFG_VIII, "VIII", 4, {"mu": Fraction(1)}),
     ("q^(3/2)", None, "XII", 4, {}),
     ("(q^2+1)^(3/2)", None, "XI", 4, {}),
+    # mu = 2 members of rows VIII and IX: eps2 != 0, off the degenerate
+    # discriminant that the mu = 1 member of row VIII takes
+    ("2*(2*q*y - p^2)^(3/2)/y^2", CFG_VIII, "VIII", 4, {"mu": Fraction(2)}),
+    ("8*(q - p^2)^(3/2) + 6*q*p - 4*p^3", CFG_IX, "IX", 4,
+     {"mu": Fraction(2)}),
 ]
 
 

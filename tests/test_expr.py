@@ -222,8 +222,8 @@ class TestIsZero:
 
     def test_reproducible(self):
         e = parse("exp(q) - 1 - q")
-        v1 = is_zero(e, seed=123)
-        v2 = is_zero(e, seed=123)
+        v1 = is_zero(e, config=ZeroConfig(seed=123))
+        v2 = is_zero(e, config=ZeroConfig(seed=123))
         assert v1.status == v2.status
         assert v1.witness == v2.witness
 
@@ -578,6 +578,26 @@ class TestPackedKernels:
             assert list(poly.poly_div_exact(a, b).items()) == want
             hits += 1
         assert hits > 700
+
+    def test_constant_and_one_term_divisors_take_the_packed_path(self):
+        rng = random.Random(20261020)
+        nonneg = tuple(e for e in _EXPS if e >= 0)
+        hits = {"constant": 0, "one term": 0}
+        for k in range(600):
+            if k % 2:
+                b = {poly.MONE: rng.choice([1, -1, 2, -3, HALF])}
+            else:
+                b = _rand_poly(rng, 1)
+            q = _rand_poly(rng, rng.randint(1, 4), exps=nonneg)
+            if not b or not q:
+                continue
+            a = {m: poly._frac_c(c, 1) for m, c in poly.poly_mul(q, b).items()}
+            univ = _atoms(a, b)
+            want = sorted(q.items(), key=lambda t: _lex(univ, t[0]),
+                          reverse=True)
+            assert list(poly.poly_div_exact(a, b).items()) == want
+            hits["constant" if poly.poly_is_const(b) else "one term"] += 1
+        assert hits["constant"] > 250 and hits["one term"] > 250
 
     def test_pack_plan_fields_hold_room_times_the_largest_exponent(self):
         rng = random.Random(20261021)

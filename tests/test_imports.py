@@ -2,7 +2,8 @@
 
 The test session imports the modules in one fixed order, and a module that
 only imports because another one was loaded first would pass there; a
-fresh interpreter per module shows such an import cycle."""
+fresh interpreter per module shows such an import cycle.  A star import of
+each module also resolves every name its __all__ lists."""
 import os
 import pkgutil
 import subprocess
@@ -22,6 +23,7 @@ def test_module_imports_alone(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-c", f"import {module}"],
+    proc = subprocess.run([sys.executable, "-c",
+                           f"import {module}\nfrom {module} import *"],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,9 +1,10 @@
 """Point-equivalence pipeline: basic invariants, triviality, table rows."""
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from ode3geom.expr import is_zero, normalize, parse
+from ode3geom.expr import DEFAULT_CONFIG, is_zero, normalize, parse
 from ode3geom.jet import Ode3
 from ode3geom.point import (classify_point, point_basic_invariants,
                             point_reduced_w4d, point_reduced_w_nonzero,
@@ -92,13 +93,24 @@ ROWS = [
     ("4*q^2/p", "II.2", 4, {"mu": Fraction(4)}),
     ("(3*p + 2)*q^2/(p^2 + 1)", "II.3", 4, {"mu": Fraction(2)}),
     ("q^(5/2)", "IV", 4, {"mu": Fraction(5, 2)}),
+    ("2*(2*q*y - p^2)^(3/2)/y^2", "VIII", 4, {"mu": Fraction(2)}),
+    ("8*(q - p^2)^(3/2) + 6*q*p - 4*p^3", "IX", 4, {"mu": Fraction(2)}),
 ]
+# The box column of ROWS, where it is not the default box: the W = 0 rows
+# VIII and IX are real and guarded only on a box of their own.
+BOXES = {
+    "2*(2*q*y - p^2)^(3/2)/y^2": {"y": (0.8, 1.0), "p": (0.5, 0.7),
+                                  "q": (1.2, 2.0)},
+    "8*(q - p^2)^(3/2) + 6*q*p - 4*p^3": {"p": (0.5, 0.9), "q": (1.2, 2.0)},
+}
 
 
 class TestClassify:
     @pytest.mark.parametrize("text,row,dim,params", ROWS)
     def test_table_rows(self, text, row, dim, params):
-        res = classify_point(Ode3.from_text(text))
+        cfg = replace(DEFAULT_CONFIG,
+                      box=dict(DEFAULT_CONFIG.box, **BOXES.get(text, {})))
+        res = classify_point(Ode3.from_text(text), cfg)
         assert res.row == row
         assert res.dimension == dim
         for key, want in params.items():
@@ -124,6 +136,19 @@ class TestClassify:
             "representative check inconclusive: "
             "no admissible samples for constant value")
 
+    def test_rep_mismatch_on_the_w_zero_path_names_its_reason(self,
+                                                              monkeypatch):
+        # a check that completes and finds another tuple demotes row XII to
+        # "general" with the reason a demoted contact row carries
+        from ode3geom import point
+        monkeypatch.setattr(point, "_verify_point_rep", lambda *_args: False)
+        res = classify_point(Ode3.from_text("(q+5)^(3/2)"))
+        assert (res.row, res.dimension, res.inconclusive) == (
+            "general", None, False)
+        assert res.diagnostics["tuple_verified"] is False
+        assert res.diagnostics["reason"] == (
+            "candidate tuple differs from canonical representative")
+
     def test_contact_rows_dominate_their_point_rows(self):
         # point symmetries embed in contact symmetries, so each contact-row
         # canonical form lands in a point row of equal or smaller dimension
@@ -140,9 +165,6 @@ class TestClassify:
         # pullback 7 of criterion 7's battery at seed 11: one sample of a
         # constant invariant evaluates to nan, and it must not count as a
         # value (it once spread the constant and gave row "general")
-        from dataclasses import replace
-
-        from ode3geom.expr import DEFAULT_CONFIG
         from ode3geom.transform import pullback_ode, random_point_transforms
         cfg = replace(DEFAULT_CONFIG, seed=11)
         t = random_point_transforms(20260808, 8)[7]
