@@ -135,9 +135,11 @@ def const_value(e: Expr, config: ZeroConfig = DEFAULT_CONFIG) -> float:
     rf = e._rf
     if rf is not None and rf.is_const():
         return float(rf.const_value())
-    vals = values_on_samples(e, config, n=min(config.samples, 9))
-    if not vals:
-        raise InconclusiveError("no admissible samples for constant value")
+    n = min(config.samples, 9)
+    vals = values_on_samples(e, config, n=n)
+    if len(vals) < 3:
+        raise InconclusiveError(f"expected a constant, only {len(vals)} "
+                                f"of {n} samples well-conditioned")
     vals.sort()
     med = vals[len(vals) // 2]
     good = [v for v in vals if abs(v - med) <= SPREAD_TOL * (1.0 + abs(med))]

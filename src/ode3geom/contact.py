@@ -36,11 +36,12 @@ class BranchResult:
     fqqqq_verdict: object
 
 
+@per_ode
 def contact_branch(ode: Ode3,
                    config: ZeroConfig = DEFAULT_CONFIG) -> BranchResult:
-    """trivial-flat iff W = 0 and F_qqqq = 0 (contact equivalent to y'''=0)."""
-    inv = jet_invariants(ode, config)
-    wv = inv.w_verdict
+    """trivial-flat iff W = 0 and F_qqqq = 0 (contact equivalent to y'''=0);
+    taken once per config."""
+    wv = jet_invariants(ode, config).w_verdict
     fv = is_zero(pd(ode.F, "q", "q", "q", "q"), config=config)
     if wv.status == "inconclusive" or fv.status == "inconclusive":
         raise InconclusiveError("contact branch verdicts inconclusive")
@@ -101,24 +102,24 @@ def omega_section(ode: Ode3) -> OneForm:
 
 
 @per_ode
-def _dtheta3_slots(ode: Ode3) -> tuple:
+def _dtheta3_slots(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> tuple:
     """Structure coefficients of d(theta^3) - Omega ^ theta^3 at u = 1.
 
     In lexicographic slot order these are (b, c, -1, e, a, 0); reading b
     off the structure equation keeps the identity "a constant and k = 0
     force b = 0" exact, which closed forms for b tend to break.  The solve
-    picks its pivots by zero tests on the default box, the one place where
-    a builder samples.
+    picks its pivots by zero tests on config's box, so the slots are kept
+    once per config.
     """
     from .forms import wedge
     cof = nonwunschmann_coframe(ode, num(1))
     om = omega_section(ode)
     B = d(cof.theta[2]) - wedge(om, cof.theta[2])
-    return decompose(B, cof)
+    return decompose(B, cof, config)
 
 
-def bas_b(ode: Ode3) -> Expr:
-    return _dtheta3_slots(ode)[PAIR[(1, 2)]]
+def bas_b(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> Expr:
+    return _dtheta3_slots(ode, config)[PAIR[(1, 2)]]
 
 
 @per_ode
@@ -153,17 +154,14 @@ def bas_k(ode: Ode3) -> Expr:
         / pow_(W, F3(1, 3))
 
 
-def _basfun_5d(ode: Ode3) -> tuple:
-    return (bas_a(ode), bas_b(ode), bas_e(ode), bas_h(ode), bas_k(ode))
-
-
 def invariants_5d(ode: Ode3,
                   config: ZeroConfig = DEFAULT_CONFIG) -> ContactInvariants5d:
     br = contact_branch(ode, config)
     if br.branch != W_NONZERO:
         raise WunschmannZeroError("five-dimensional reduction needs W != 0")
-    a, b, e, h, k = _basfun_5d(ode)
-    return ContactInvariants5d(a=a, b=b, e=e, h=h, k=k,
+    a = bas_a(ode)
+    return ContactInvariants5d(a=a, b=bas_b(ode, config), e=bas_e(ode),
+                               h=bas_h(ode), k=bas_k(ode),
                                a_constant=is_constant(a, config))
 
 
@@ -179,7 +177,7 @@ def _plain_omegas(ode: Ode3) -> tuple:
     return w1, w2, w3, w4
 
 
-def _u_nonwunschmann(ode: Ode3, case: int) -> Expr:
+def _u_nonwunschmann(ode: Ode3, case: int, config: ZeroConfig) -> Expr:
     """The last group-parameter substitution for reduction case 1..4."""
     W = klmw(ode).W
     if case == 1:
@@ -189,7 +187,7 @@ def _u_nonwunschmann(ode: Ode3, case: int) -> Expr:
         return bas_e(ode)
     if case == 3:
         return bas_h(ode)
-    return bas_b(ode)
+    return bas_b(ode, config)
 
 
 def nonwunschmann_coframe(ode: Ode3, u: Expr) -> Coframe:
@@ -278,15 +276,22 @@ def _decompose_all(cof: Coframe, config: ZeroConfig) -> list:
     return decompose_many([d(th) for th in cof.theta], cof, config)
 
 
-def _check_slot(slots, i, pair, want, config, label):
-    got = slots[i][pair]
-    v = is_zero(got - num(want), config=config)
-    if not v.is_zero:
-        raise ArithmeticError(
-            f"coframe self-check failed: {label} is {v.status}")
-
-
 PAIR = {(1, 2): 0, (1, 3): 1, (1, 4): 2, (2, 3): 3, (2, 4): 4, (3, 4): 5}
+# "dtheta1@12" to "dtheta4@34", in the order _decompose_all returns them
+_SLOT_NAMES = tuple(f"dtheta{i}@{j}{k}" for i in range(1, 5) for j, k in PAIR)
+
+# Per branch of the reduced coframe: the slots that must equal -1, the
+# invariants, and the slot whose sign is epsilon with its label.
+_SLOT_TABLE = {
+    W_NONZERO: (("dtheta1@24", "dtheta2@34", "dtheta3@14"),
+                {"I1": "dtheta1@13", "I2": "dtheta1@14",
+                 "I3": "dtheta2@14", "I4": "dtheta3@23"},
+                ("dtheta4@23", "epsilon1 slot")),
+    W0_FQQQQ: (("dtheta1@24", "dtheta2@34"),
+               {"I5": "dtheta1@13", "I6": "dtheta1@14",
+                "I7": "dtheta3@23", "I8": "dtheta4@23"},
+               ("dtheta2@14", "epsilon2 slot")),
+}
 
 
 def invariants_reduced(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG
@@ -299,72 +304,56 @@ def invariants_reduced(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG
         if case == 0:
             raise NotApplicableError(
                 "b = e = h = k = 0: linearizable, no coframe reduction")
-        u = _u_nonwunschmann(ode, case)
-        cof = nonwunschmann_coframe(ode, u)
-        slots = _decompose_all(cof, config)
-        _check_slot(slots, 0, PAIR[(2, 4)], -1, config, "dtheta1@24")
-        _check_slot(slots, 1, PAIR[(3, 4)], -1, config, "dtheta2@34")
-        _check_slot(slots, 2, PAIR[(1, 4)], -1, config, "dtheta3@14")
-        I = {"I1": slots[0][PAIR[(1, 3)]], "I2": slots[0][PAIR[(1, 4)]],
-             "I3": slots[1][PAIR[(1, 4)]], "I4": slots[2][PAIR[(2, 3)]]}
-        eps_expr = slots[3][PAIR[(2, 3)]]
-        if require(is_zero(eps_expr, config=config), "epsilon1 slot"):
-            eps = 0
-        else:
-            eps = sign_on_domain(eps_expr, config=config)
-        W = klmw(ode).W
-        Wq = pd(W, "q")
-        eps_direct = normalize(2 * Wq * Wq - 3 * W * pd(W, "q", "q"))
-        eps_formula = sign_on_domain(eps_direct, config=config)
-        slots_named = _name_slots(slots)
-        constancy = {nm: is_constant(ex, config) for nm, ex in I.items()}
-        return ContactCoframeInvariants(
-            branch=W_NONZERO, case=case, eps=eps, I=I, slots=slots_named,
-            constancy=constancy,
-            diagnostics={"eps1_sign_formula": eps_formula})
-    # W = 0, F_qqqq != 0
-    case, u, disc1 = _u_w4d(ode, config)
-    cof = w4d_coframe(ode, u)
-    slots = _decompose_all(cof, config)
-    _check_slot(slots, 0, PAIR[(2, 4)], -1, config, "dtheta1@24")
-    _check_slot(slots, 1, PAIR[(3, 4)], -1, config, "dtheta2@34")
-    I = {"I5": slots[0][PAIR[(1, 3)]], "I6": slots[0][PAIR[(1, 4)]],
-         "I7": slots[2][PAIR[(2, 3)]], "I8": slots[3][PAIR[(2, 3)]]}
-    eps_expr = slots[1][PAIR[(1, 4)]]
-    if require(is_zero(eps_expr, config=config), "epsilon2 slot"):
+        cof = nonwunschmann_coframe(ode, _u_nonwunschmann(ode, case, config))
+    else:  # W = 0, F_qqqq != 0
+        case, u, disc1 = _u_w4d(ode, config)
+        cof = w4d_coframe(ode, u)
+    checks, names, (eps_slot, eps_label) = _SLOT_TABLE[br.branch]
+    coeffs = _decompose_all(cof, config)
+    slots = dict(zip(_SLOT_NAMES, (c for row in coeffs for c in row)))
+    for name in checks:
+        v = is_zero(slots[name] - num(-1), config=config)
+        if not v.is_zero:
+            raise ArithmeticError(
+                f"coframe self-check failed: {name} is {v.status}")
+    I = {nm: slots[slot] for nm, slot in names.items()}
+    eps_expr = slots[eps_slot]
+    if require(is_zero(eps_expr, config=config), eps_label):
         eps = 0
     else:
         eps = sign_on_domain(eps_expr, config=config)
-    eps_sq = sign_on_domain(disc1, config=config)
-    F = ode.F
-    K, L = klmw(ode)[:2]
-    cubed = normalize(2 * pd(F, "q", "q", "q", "q") * pd(L, "q", "q")
-                      - 3 * pd(K, "q", "q", "q") ** 3)
-    eps_cubed = sign_on_domain(cubed, config=config)
-    slots_named = _name_slots(slots)
-    constancy = {nm: is_constant(ex, config) for nm, ex in I.items()}
+    if br.branch == W_NONZERO:
+        W = klmw(ode).W
+        Wq = pd(W, "q")
+        eps_direct = normalize(2 * Wq * Wq - 3 * W * pd(W, "q", "q"))
+        diagnostics = {
+            "eps1_sign_formula": sign_on_domain(eps_direct, config=config)}
+    else:
+        eps_sq = sign_on_domain(disc1, config=config)
+        F = ode.F
+        K, L = klmw(ode)[:2]
+        cubed = normalize(2 * pd(F, "q", "q", "q", "q") * pd(L, "q", "q")
+                          - 3 * pd(K, "q", "q", "q") ** 3)
+        diagnostics = {
+            "eps2_sign_squared": eps_sq,
+            "eps2_sign_cubed_variant": sign_on_domain(cubed, config=config)}
     return ContactCoframeInvariants(
-        branch=W0_FQQQQ, case=case, eps=eps, I=I, slots=slots_named,
-        constancy=constancy,
-        diagnostics={"eps2_sign_squared": eps_sq,
-                     "eps2_sign_cubed_variant": eps_cubed})
-
-
-def _name_slots(slots) -> dict:
-    names = ("dtheta1", "dtheta2", "dtheta3", "dtheta4")
-    pairs = ("12", "13", "14", "23", "24", "34")
-    return {f"{nm}@{pr}": slots[i][j]
-            for i, nm in enumerate(names) for j, pr in enumerate(pairs)}
+        branch=br.branch, case=case, eps=eps, I=I, slots=slots,
+        constancy={nm: is_constant(ex, config) for nm, ex in I.items()},
+        diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------- classification
 
 
+@per_ode
 def _reduction_case(ode: Ode3, config: ZeroConfig) -> int:
     """The W != 0 reduction case: 1 to 4 for the first of k, e, h, b
-    (cheapest first) that is nonzero, 0 when all four vanish."""
+    (cheapest first) that is nonzero, 0 when all four vanish; taken once
+    per config."""
     for case, (nm, builder) in enumerate(
-            (("k", bas_k), ("e", bas_e), ("h", bas_h), ("b", bas_b)), 1):
+            (("k", bas_k), ("e", bas_e), ("h", bas_h),
+             ("b", lambda o: bas_b(o, config))), 1):
         if not require(is_zero(builder(ode), config=config), nm):
             return case
     return 0
@@ -387,7 +376,8 @@ def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
         return ClassificationResult(
             group="contact", row="I", dimension=10,
             evidence=["W=0", "F_qqqq=0"])
-    if br.branch == W_NONZERO:
+    wnz = br.branch == W_NONZERO
+    if wnz:
         case = _reduction_case(ode, config)
         a = bas_a(ode)
         if case == 0:
@@ -401,52 +391,56 @@ def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
                 parameters={"mu_of_x": normalize(a)},
                 evidence=["W!=0", "b=e=h=k=0", "a nonconstant"],
                 diagnostics={"a_is_x_only": _mu_of_x(a, config)})
-        red = invariants_reduced(ode, config)
-        if not all(red.constancy.values()):
-            return ClassificationResult(
-                group="contact", row="general",
-                evidence=[f"case {red.case} reduction"],
-                diagnostics={"constancy": red.constancy})
-        i1 = const_value(red.I["I1"], config)
-        vals = {nm: const_value(ex, config) for nm, ex in red.I.items()}
-        if red.eps == 0 or abs(i1) < 1e-9:
-            return ClassificationResult(
-                group="contact", row="general",
-                diagnostics={"reason": "no large-symmetry solution branch",
-                             "eps1": red.eps, **vals})
-        t = 1.0 + 4.0 * red.eps / (i1 * i1)
-        if red.eps == -1 and abs(t) <= 1e-9 and abs(i1 + 2) <= 1e-7:
-            row, mu, rep = "VI", None, Ode3.from_text("exp(q)")
-        elif t > 1e-9:
-            row, mu = "IV", t
-            alpha = snap_rational(1.5 + 1.0 / (2.0 * math.sqrt(mu)))
-            rep = Ode3(pow_(var("q"), alpha)) if alpha is not None else None
-        elif red.eps == -1 and t < -1e-9:
-            row, mu = "V", -t
-            nu = snap_rational(1.0 / math.sqrt(mu))
-            rep = Ode3(pow_(var("q") ** 2 + 1, F3(3, 2))
-                       * exp(num(nu) * atan(var("q")))) if nu is not None \
-                else None
-        else:
-            return ClassificationResult(
-                group="contact", row="general",
-                diagnostics={"reason": "invariants off every table row",
-                             "eps1": red.eps, **vals})
-        verdict = rep_verdict(
-            rep, lambda r, cfg: _verify_against_rep(red, r, cfg), row, config)
-        return table_row("contact", row, mu, verdict,
-                         evidence=[f"eps1={red.eps}", f"I1={i1:.9g}"],
-                         diagnostics=dict(vals))
-    # W = 0, F_qqqq != 0
     red = invariants_reduced(ode, config)
     if not all(red.constancy.values()):
         return ClassificationResult(
             group="contact", row="general",
-            evidence=[f"case {red.case} reduction (W=0)"],
+            evidence=[f"case {red.case} reduction"
+                      + ("" if wnz else " (W=0)")],
             diagnostics={"constancy": red.constancy})
     vals = {nm: const_value(ex, config) for nm, ex in red.I.items()}
+    found = (_row_w_nonzero if wnz else _row_w0)(red.eps, vals)
+    if isinstance(found, str):
+        return ClassificationResult(
+            group="contact", row="general",
+            diagnostics={"reason": found, "eps1" if wnz else "eps2": red.eps,
+                         **vals})
+    row, mu, rep, evidence = found
+    verdict = rep_verdict(
+        rep, lambda r, cfg: _verify_against_rep(red.eps, vals, r, cfg),
+        row, config)
+    return table_row("contact", row, mu, verdict, evidence=evidence,
+                     diagnostics=dict(vals))
+
+
+def _row_w_nonzero(eps: int, vals: dict):
+    """The W != 0 table row that epsilon_1 and I1..I4 point to, as (row,
+    mu, representative, evidence), or the reason there is none."""
+    i1 = vals["I1"]
+    if eps == 0 or abs(i1) < 1e-9:
+        return "no large-symmetry solution branch"
+    t = 1.0 + 4.0 * eps / (i1 * i1)
+    if eps == -1 and abs(t) <= 1e-9 and abs(i1 + 2) <= 1e-7:
+        row, mu, rep = "VI", None, Ode3.from_text("exp(q)")
+    elif t > 1e-9:
+        row, mu = "IV", t
+        alpha = snap_rational(1.5 + 1.0 / (2.0 * math.sqrt(mu)))
+        rep = Ode3(pow_(var("q"), alpha)) if alpha is not None else None
+    elif eps == -1 and t < -1e-9:
+        row, mu = "V", -t
+        nu = snap_rational(1.0 / math.sqrt(mu))
+        rep = Ode3(pow_(var("q") ** 2 + 1, F3(3, 2))
+                   * exp(num(nu) * atan(var("q")))) if nu is not None \
+            else None
+    else:
+        return "invariants off every table row"
+    return row, mu, rep, [f"eps1={eps}", f"I1={i1:.9g}"]
+
+
+def _row_w0(eps: int, vals: dict):
+    """The W = 0 table row that epsilon_2 and I5..I8 point to, as (row,
+    mu, representative, evidence), or the reason there is none."""
     i7, i8 = vals["I7"], vals["I8"]
-    eps = red.eps
     row = mu = rep = None
     if eps != 0 and abs(i7 - CBRT6_OVER_3) <= 1e-7:
         row = "XI" if eps == 1 else "XII"
@@ -474,16 +468,9 @@ def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
             elif (eps == -1 and i7 < 0) or (eps == 1 and i7 > CBRT6_OVER_3):
                 row = "X"
     if row is None:
-        return ClassificationResult(
-            group="contact", row="general",
-            diagnostics={"reason": "W=0 invariants off every table row",
-                         "eps2": eps, **vals})
-    verdict = rep_verdict(rep or w0_rep(row, mu),
-                          lambda r, cfg: _verify_against_rep(red, r, cfg),
-                          row, config)
-    return table_row("contact", row, mu, verdict,
-                     evidence=[f"eps2={eps}", f"I7={i7:.9g}", f"I8={i8:.9g}"],
-                     diagnostics=dict(vals))
+        return "W=0 invariants off every table row"
+    return (row, mu, rep or w0_rep(row, mu),
+            [f"eps2={eps}", f"I7={i7:.9g}", f"I8={i8:.9g}"])
 
 
 def w0_rep(row: str, mu: Optional[float]) -> Optional[Ode3]:
@@ -507,15 +494,15 @@ def w0_rep(row: str, mu: Optional[float]) -> Optional[Ode3]:
                       + 3 * q * q / p + p ** 3)}[row]()))
 
 
-def _verify_against_rep(red: ContactCoframeInvariants, rep: Ode3,
+def _verify_against_rep(eps: int, vals: dict, rep: Ode3,
                         config: ZeroConfig) -> bool:
-    """Full-tuple match with the representative; may raise ArithmeticError."""
+    """Match of the input's epsilon and sampled invariants vals with the
+    representative's, sampled on config's box; may raise ArithmeticError."""
     rred = invariants_reduced(rep, config)
-    if rred.eps != red.eps:
+    if rred.eps != eps:
         return False
-    mine = [const_value(red.I[nm], config) for nm in sorted(red.I)]
-    theirs = [const_value(rred.I[nm], config) for nm in sorted(rred.I)]
-    return tuples_match(mine, theirs)
+    return tuples_match(list(vals.values()),
+                        [const_value(e, config) for e in rred.I.values()])
 
 
 # ---------------------------------------------------------- linearizability

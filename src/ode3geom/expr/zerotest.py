@@ -73,6 +73,10 @@ class ZeroConfig:
     box: dict = field(default_factory=lambda: dict(DEFAULT_BOX))
     attempts: int = 1200
 
+    def __hash__(self):  # by value, like the generated __eq__
+        return hash((self.seed, self.samples, self.tol, self.attempts,
+                     tuple(sorted(self.box.items()))))
+
 
 DEFAULT_CONFIG = ZeroConfig()
 

@@ -64,15 +64,20 @@ class Ode3:
 
 
 def per_ode(fn):
-    """Cache fn(ode) on the ODE, one result per ODE.
+    """Cache fn(ode, *args) on the ODE, one result per ODE and arguments.
 
-    fn must read nothing but the ODE: no config, no sample box, so the
-    result is the same whoever asks first."""
+    fn must read nothing else, so the result is the same whoever asks
+    first.  An omitted argument counts as its default, and a ZeroConfig
+    keys by value: f(ode) and f(ode, DEFAULT_CONFIG) share one entry."""
+    defaults = fn.__defaults__ or ()
+    required = fn.__code__.co_argcount - 1 - len(defaults)
+
     @wraps(fn)
-    def cached(ode: Ode3):
-        got = ode._cache.get(fn)
+    def cached(ode: Ode3, *args):
+        key = (fn, *args, *defaults[len(args) - required:])
+        got = ode._cache.get(key)
         if got is None:
-            got = ode._cache[fn] = fn(ode)
+            got = ode._cache[key] = fn(ode, *args)
         return got
     return cached
 
@@ -129,9 +134,10 @@ def z_invariant(ode: Ode3) -> Expr:
     return normalize(ode.D(W) / W - pd(ode.F, "q"))
 
 
+@per_ode
 def jet_invariants(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> JetInvariants:
     """klmw(ode) with the W verdict on config's box, and Z where that
-    verdict is nonzero."""
+    verdict is nonzero; taken once per config."""
     inv = klmw(ode)
     wv = is_zero(inv.W, config=config)
     return JetInvariants(*inv, Z=z_invariant(ode) if wv.is_nonzero else None,

@@ -18,6 +18,36 @@ def run_cli(args, capsys):
     return code, out
 
 
+def spy_is_zero(monkeypatch) -> list:
+    """The expression of every is_zero call from here on, wherever a
+    module of the package bound the name."""
+    from ode3geom.expr import zerotest
+    inner = zerotest.is_zero
+    seen = []
+
+    def spy(e, config=DEFAULT_CONFIG):
+        seen.append(e)
+        return inner(e, config)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("ode3geom") and \
+                getattr(mod, "is_zero", None) is inner:
+            monkeypatch.setattr(mod, "is_zero", spy)
+    return seen
+
+
+def spy_input(monkeypatch) -> list:
+    """The Ode3 of every equation the CLI reads from here on."""
+    from ode3geom import cli
+    inner = cli._read_ode
+    odes = []
+
+    def spy(text):
+        odes.append(inner(text))
+        return odes[-1]
+    monkeypatch.setattr(cli, "_read_ode", spy)
+    return odes
+
+
 class TestClassify:
     def test_contact_row(self, capsys):
         code, out = run_cli(["classify", "--group", "contact",
@@ -79,23 +109,15 @@ class TestGeometry:
         assert code == 2
 
     def test_w_verdict_taken_once_per_gate(self, capsys, monkeypatch):
-        # the report's own gate, then weyl_structure's and lorentz_check's;
-        # the metric and the Cotton forms are built past the report's gate
-        from ode3geom import jet
-        inner = jet.jet_invariants
-        calls = []
-
-        def spy(ode, config=DEFAULT_CONFIG):
-            calls.append(ode.F)
-            return inner(ode, config)
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith("ode3geom") and \
-                    getattr(mod, "jet_invariants", None) is inner:
-                monkeypatch.setattr(mod, "jet_invariants", spy)
+        # the report's own gate, weyl_structure's and lorentz_check's read
+        # one verdict, kept on the equation for its config
+        from ode3geom.jet import klmw
+        odes, tested = spy_input(monkeypatch), spy_is_zero(monkeypatch)
         code, _out = run_cli(["geometry", "--ode", "3*q^2/p", "--json"],
                              capsys)
         assert code == 0
-        assert len(calls) <= 3
+        W = klmw(odes[0]).W
+        assert sum(e is W for e in tested) == 1
 
 
 class TestChazy:
@@ -289,10 +311,10 @@ class TestBatchAndReport:
     @pytest.mark.parametrize("text,box", [
         ("(2*q*y - p^2)^(3/2)/y^2", "x:-1:1,y:0.8:1.0,p:0.5:0.7,q:1.2:2.0"),
         ("exp(q)", "x:-1:1,y:-1:1,p:0.5:2,q:0.6:2"),
+        ("-2*5*p + y", "x:-1:1,y:-1:1,p:0.5:2,q:0.6:2"),
+        ("-2*x*p", "x:-1:1,y:-1:1,p:0.5:2,q:0.6:2"),
     ])
     def test_report_samples_only_the_config_box(self, monkeypatch, text, box):
-        # Rows whose contact branch builds b are left out: the pivots of
-        # contact._dtheta3_slots are still chosen on the default box.
         from ode3geom.expr import zerotest
         cfg = replace(DEFAULT_CONFIG, box=parse_box(box))
         boxes = []
@@ -305,6 +327,38 @@ class TestBatchAndReport:
         run_report(text, cfg)
         assert boxes
         assert [b for b in boxes if b != cfg.box] == []
+
+    def test_w_verdict_taken_once_per_report(self, monkeypatch):
+        # the branch, the invariants, both classifiers, the point
+        # triviality check and the three geometry gates share one verdict
+        from ode3geom.jet import klmw
+        odes, tested = spy_input(monkeypatch), spy_is_zero(monkeypatch)
+        run_report("0", DEFAULT_CONFIG)
+        W = klmw(odes[0]).W
+        assert sum(e is W for e in tested) == 1
+
+    def test_reduction_case_taken_once_per_report(self, monkeypatch):
+        # the contact classifier and its reduced coframe share the case;
+        # row VI's representative exp(q) is another equation with its own
+        from ode3geom.contact import bas_k
+        odes, tested = spy_input(monkeypatch), spy_is_zero(monkeypatch)
+        report, _code = run_report("exp(q)", DEFAULT_CONFIG)
+        assert report["contact"]["row"] == "VI"
+        k = bas_k(odes[0])
+        assert sum(e is k for e in tested) == 1
+
+    def test_too_few_samples_name_their_count(self, capsys):
+        # I6 has one well-conditioned sample on this box: the reason gives
+        # the count, not a spread over a single value
+        code, out = run_cli(
+            ["classify", "--group", "contact", "--json",
+             "--ode", "(2*q*(y+5) - p^2)^(3/2)/(y+5)^2",
+             "--box", "x:-1:1,y:-4.2:-4.0,p:0.5:0.7,q:1.2:2.0"], capsys)
+        assert code == 2
+        contact = json.loads(out)["contact"]
+        assert contact["inconclusive"] is True
+        assert contact["diagnostics"]["reason"] == \
+            "expected a constant, only 1 of 9 samples well-conditioned"
 
     def test_console_script(self):
         proc = subprocess.run(

@@ -1,10 +1,12 @@
 """Total derivative and the scalar invariants K, L, M, W, Z."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from ode3geom.expr import is_zero, normalize, num, parse, partial, var
+from ode3geom.expr import (DEFAULT_CONFIG, ZeroConfig, is_zero, normalize,
+                           num, parse, partial, var)
 from ode3geom.jet import (Ode3, VectorField, WunschmannZeroError,
                           frame_derivative, jet_invariants, pd,
                           total_derivative, zee)
@@ -93,6 +95,54 @@ class TestJetInvariants:
             for t in ts:
                 pb = pullback_ode(ode, t)
                 assert jet_invariants(pb).w_verdict.status == status
+
+
+class TestVerdictMemo:
+    """A verdict is kept on the equation once per config, keyed by value."""
+
+    @staticmethod
+    def draws(monkeypatch) -> list:
+        from ode3geom.expr import zerotest
+        configs = []
+        draw = zerotest.sample_points
+
+        def spy(cfg):
+            configs.append(cfg)
+            return draw(cfg)
+        monkeypatch.setattr(zerotest, "sample_points", spy)
+        return configs
+
+    def test_equal_configs_share_one_entry(self, monkeypatch):
+        from ode3geom.expr.zerotest import DEFAULT_BOX
+        ode = Ode3.from_text("exp(q)")
+        one = ZeroConfig(seed=3, box=dict(DEFAULT_BOX))
+        two = ZeroConfig(seed=3,
+                         box=dict(reversed(list(DEFAULT_BOX.items()))))
+        assert one == two and hash(one) == hash(two)
+        draws = self.draws(monkeypatch)
+        first = jet_invariants(ode, one)
+        assert draws == [one]
+        assert jet_invariants(ode, two) is first
+        assert draws == [one]
+
+    def test_omitted_config_is_the_default(self):
+        ode = Ode3.from_text("exp(q)")
+        inv = jet_invariants(ode)
+        assert jet_invariants(ode, DEFAULT_CONFIG) is inv
+        assert jet_invariants(ode, ZeroConfig()) is inv
+
+    def test_other_seed_or_box_draws_its_own(self, monkeypatch):
+        # a verdict on the input's box never serves a representative's box
+        from ode3geom.classify import rep_config
+        ode = Ode3.from_text("exp(q)")
+        cfg = ZeroConfig(seed=3)
+        jet_invariants(ode, cfg)
+        draws = self.draws(monkeypatch)
+        other_seed, other_box = replace(cfg, seed=4), rep_config("VIII", cfg)
+        assert other_box.box != cfg.box
+        jet_invariants(ode, other_seed)
+        jet_invariants(ode, other_box)
+        assert draws == [other_seed, other_box]
 
 
 class TestFrameDerivative:
