@@ -56,15 +56,17 @@ def run_classifier(group: str, classify, ode, config: ZeroConfig
                                     diagnostics={"reason": str(exc)})
 
 
-def rep_verdict(rep, verify, row: str, config: ZeroConfig):
-    """verify(rep, rep_config(row, config)), the comparison of a candidate
-    row with its canonical representative rep: True or False, None without
-    a representative, or the ArithmeticError that kept the comparison from
+def rep_verdict(ode, rep, verify, row: str, config: ZeroConfig):
+    """verify(rep, rep_config(row, config)), the comparison of the input
+    ode's candidate row with its canonical representative rep, run on ode
+    itself when rep has its F: True or False, None without a
+    representative, or the ArithmeticError that kept the comparison from
     being completed."""
     if rep is None:
         return None
     try:
-        return verify(rep, rep_config(row, config))
+        return verify(ode if rep.F.rf == ode.F.rf else rep,
+                      rep_config(row, config))
     except ArithmeticError as exc:
         return exc
 

@@ -294,6 +294,7 @@ _SLOT_TABLE = {
 }
 
 
+@per_ode
 def invariants_reduced(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG
                        ) -> ContactCoframeInvariants:
     br = contact_branch(ode, config)
@@ -407,7 +408,7 @@ def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
                          **vals})
     row, mu, rep, evidence = found
     verdict = rep_verdict(
-        rep, lambda r, cfg: _verify_against_rep(red.eps, vals, r, cfg),
+        ode, rep, lambda r, cfg: _verify_against_rep(red.eps, vals, r, cfg),
         row, config)
     return table_row("contact", row, mu, verdict, evidence=evidence,
                      diagnostics=dict(vals))

@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, is_zero, normalize,
-                   num, partial)
+from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, from_rf, is_zero,
+                   normalize, num, partial, pow_)
+from .expr.nodes import MUL, RF, RF_ONE
 
 COORDS = ("x", "y", "p", "q")
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -126,6 +127,16 @@ class Coframe:
         return [wedge(self.theta[j], self.theta[k]) for j, k in PAIRS]
 
 
+def _times(rf: RF, e: Expr) -> RF:
+    """rf times e's factors in a product, in the order lowering takes."""
+    for f in e.args if e.kind == MUL else (e,):
+        rf = rf * f.rf
+    return rf
+
+
+_MINUS_ONE = RF_ONE * num(-1).rf    # a product's leading -1, lowered
+
+
 def _solve_linear_multi(mat: List[List[Expr]], rhss: List[List[Expr]],
                         config: ZeroConfig) -> List[List[Expr]]:
     """Solve mat * t = rhs for several right-hand sides by Gaussian
@@ -133,15 +144,15 @@ def _solve_linear_multi(mat: List[List[Expr]], rhss: List[List[Expr]],
 
     Pivot choice prefers structurally constant entries, then syntactically
     small ones verified nonzero on the domain, so that no division by an
-    expression vanishing somewhere on the box occurs.
+    expression vanishing somewhere on the box occurs.  An update is the
+    RF that the tree old - (f/piv)*x lowers to, term for term, with
+    -1*f*piv^-1 built once per row and piv^-1 once per pivot.
     """
-    n = len(mat)
-    k = len(rhss)
+    n, k = len(mat), len(rhss)
     rows = [list(mat[i]) + [rhss[j][i] for j in range(k)] for i in range(n)]
+    invs = []
     for col in range(n):
-        pivot_row = None
-        best = None
-        best_size = None
+        pivot_row = best = best_size = None
         for r in range(col, n):
             e = rows[r][col]
             if e.rf.is_zero_poly():
@@ -159,20 +170,21 @@ def _solve_linear_multi(mat: List[List[Expr]], rhss: List[List[Expr]],
             raise DegenerateCoframeError(
                 "coframe degenerate on the sample domain")
         rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        piv = rows[col][col]
+        invs.append(pow_(rows[col][col], -1).rf)
         for r in range(n):
             if r == col:
                 continue
             f = rows[r][col]
             if f.rf.is_zero_poly():
                 continue
-            ratio = f / piv
+            m = _times(_MINUS_ONE, f) * invs[col]
             for c2 in range(col + 1, n + k):
-                if not rows[col][c2].rf.is_zero_poly():
-                    rows[r][c2] = rows[r][c2] - ratio * rows[col][c2]
+                x = rows[col][c2]
+                if not x.rf.is_zero_poly():
+                    rows[r][c2] = from_rf(rows[r][c2].rf + _times(m, x))
             rows[r][col] = _ZERO
-    return [[normalize(rows[i][n + j] / rows[i][i]) for i in range(n)]
-            for j in range(k)]
+    return [[from_rf(_times(RF_ONE, rows[i][n + j]) * invs[i])
+             for i in range(n)] for j in range(k)]
 
 
 def decompose(omega: TwoForm, frame: Coframe,

@@ -52,6 +52,22 @@ class PointTrivialReport:
     c1_variant_agrees: Optional[bool] = None
 
 
+@per_ode
+def flat_signature(ode: Ode3) -> Expr:
+    """F_qq^2 + 6 F_qqp: zero on point row I.1, its sign splits I.2/I.3."""
+    return normalize(pd(ode.F, "q", "q") ** 2 + 6 * pd(ode.F, "q", "q", "p"))
+
+
+@per_ode
+def point_trivial_verdicts(ode: Ode3,
+                           config: ZeroConfig = DEFAULT_CONFIG) -> dict:
+    """The four verdicts of point triviality; taken once per config."""
+    return {"W": jet_invariants(ode, config).w_verdict,
+            "F_qqq": is_zero(pd(ode.F, "q", "q", "q"), config=config),
+            "F_qq^2+6F_qqp": is_zero(flat_signature(ode), config=config),
+            "cartan": is_zero(cartan_second_condition(ode), config=config)}
+
+
 def point_trivial_check(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG,
                         full: bool = False):
     """Point equivalence to y''' = 0.
@@ -61,17 +77,7 @@ def point_trivial_check(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG,
     C1-based combination is reported as a diagnostic; it disagrees on
     F = 3q^2/p, which the swap oracle proves point-trivial.
     """
-    F = ode.F
-    inv = jet_invariants(ode, config)
-    Fqq = pd(F, "q", "q")
-    conds = {
-        "W": inv.w_verdict,
-        "F_qqq": is_zero(pd(F, "q", "q", "q"), config=config),
-        "F_qq^2+6F_qqp": is_zero(normalize(Fqq * Fqq
-                                           + 6 * pd(F, "q", "q", "p")),
-                                 config=config),
-        "cartan": is_zero(cartan_second_condition(ode), config=config),
-    }
+    conds = point_trivial_verdicts(ode, config)
     trivial = all(require(v, name) for name, v in conds.items())
     if not full:
         return trivial
@@ -220,6 +226,7 @@ def point_coframe_fqqq(ode: Ode3) -> Coframe:
     return reduced_point_coframe(ode, u1, u2, u3, u8)
 
 
+@per_ode
 def point_reduced_fqqq(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> dict:
     """Structure coefficients of the F_qqq-branch coframe (all 24 slots,
     plus the three named invariants of the classification)."""
@@ -251,8 +258,8 @@ def _classify_point(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
 
 def _classify_point_w0(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
     F = ode.F
-    f3z = require(is_zero(pd(F, "q", "q", "q"), config=config), "F_qqq")
-    if f3z:
+    conds = point_trivial_verdicts(ode, config)
+    if require(conds["F_qqq"], "F_qqq"):
         rep = point_trivial_check(ode, config, full=True)
         if rep.trivial:
             return ClassificationResult(
@@ -260,16 +267,14 @@ def _classify_point_w0(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
                 evidence=["W=0", "F_qqq=0", "F_qq^2+6F_qqp=0", "Cartan=0"],
                 diagnostics={"c1_variant_agrees":
                              rep.c1_variant_agrees})
-        s = normalize(pd(F, "q", "q") ** 2 + 6 * pd(F, "q", "q", "p"))
-        sv = is_zero(s, config=config)
-        if require(sv, "F_qq^2+6F_qqp"):
+        if require(conds["F_qq^2+6F_qqp"], "F_qq^2+6F_qqp"):
             return ClassificationResult(
                 group="point", row="general",
                 evidence=["W=0", "F_qqq=0", "F_qq^2+6F_qqp=0"],
                 diagnostics={"reason": "flat signature but Cartan "
                                        "condition fails",
                              "verdicts": rep.verdicts})
-        sign = sign_on_domain(s, config=config)
+        sign = sign_on_domain(flat_signature(ode), config=config)
         row = "I.2" if sign < 0 else "I.3"
         return ClassificationResult(
             group="point", row=row, dimension=6,
@@ -277,27 +282,21 @@ def _classify_point_w0(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
     f4z = require(is_zero(pd(F, "q", "q", "q", "q"), config=config), "F_qqqq")
     if f4z:
         # branch with F_qqq != 0: compare the constant structure slots of
-        # the reduced coframe against those of the canonical q^3
+        # the reduced coframe with those of q^3 (the input when F = q^3)
         vals = point_reduced_fqqq(ode, config)
-        rep_vals = point_reduced_fqqq(Ode3.from_text("q^3"), config)
+        q3 = Ode3.from_text("q^3")
+        rep_vals = point_reduced_fqqq(ode if q3.F.rf == F.rf else q3, config)
         diag = {}
-        match = True
-        for key in sorted(rep_vals):
-            if not key.startswith("T"):
-                continue
-            rep_const = is_constant(rep_vals[key], config)
-            cand_const = is_constant(vals[key], config)
-            if rep_const != cand_const:
-                match = False
+        for key in sorted(k for k in rep_vals if k.startswith("T")):
+            const = is_constant(rep_vals[key], config)
+            if const != is_constant(vals[key], config):
                 break
-            if rep_const:
+            if const:
                 rv = const_value(rep_vals[key], config)
-                cv = const_value(vals[key], config)
-                diag[key] = cv
+                diag[key] = cv = const_value(vals[key], config)
                 if not tuples_match([cv], [rv]):
-                    match = False
                     break
-        if match:
+        else:
             return ClassificationResult(
                 group="point", row="I.4", dimension=4,
                 evidence=["W=0", "F_qqqq=0", "F_qqq!=0",
@@ -326,7 +325,7 @@ def _classify_point_w0(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
     else:
         row, mu = "IX", math.sqrt(-2.0 / (i8 + 1.5))
     verdict = rep_verdict(
-        w0_rep(row, mu),
+        ode, w0_rep(row, mu),
         lambda r, cfg: _verify_point_rep(nums, r, gate_pipeline, cfg),
         row, config)
     return table_row(
@@ -403,7 +402,7 @@ def _classify_point_wnz(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
     # could not be completed
     unsettled = None
     for row, mu, rep in candidates:
-        verdict = rep_verdict(rep, verify, row, config)
+        verdict = rep_verdict(ode, rep, verify, row, config)
         if verdict is False or (verdict is not True and unsettled):
             continue
         result = table_row(

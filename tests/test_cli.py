@@ -338,14 +338,29 @@ class TestBatchAndReport:
         assert sum(e is W for e in tested) == 1
 
     def test_reduction_case_taken_once_per_report(self, monkeypatch):
-        # the contact classifier and its reduced coframe share the case;
-        # row VI's representative exp(q) is another equation with its own
+        # the contact classifier, its reduced coframe and the check against
+        # row VI's representative exp(q), which is the input itself, share
+        # the case
         from ode3geom.contact import bas_k
         odes, tested = spy_input(monkeypatch), spy_is_zero(monkeypatch)
         report, _code = run_report("exp(q)", DEFAULT_CONFIG)
         assert report["contact"]["row"] == "VI"
         k = bas_k(odes[0])
         assert sum(e is k for e in tested) == 1
+
+    @pytest.mark.parametrize("text,row", [("3/2*q^2/p", "I.2"),
+                                          ("3*q^2*p/(1+p^2)", "I.3")])
+    def test_flat_signature_tested_twice_per_report(self, monkeypatch, text,
+                                                    row):
+        # one verdict for the point classifier and the point_trivial
+        # section, and the one sign_on_domain takes before its sign
+        from ode3geom.point import flat_signature
+        odes, tested = spy_input(monkeypatch), spy_is_zero(monkeypatch)
+        report, _code = run_report(text, DEFAULT_CONFIG)
+        assert report["point"]["row"] == row
+        assert report["point_trivial"] is False
+        s = flat_signature(odes[0])
+        assert sum(e is s for e in tested) == 2
 
     def test_too_few_samples_name_their_count(self, capsys):
         # I6 has one well-conditioned sample on this box: the reason gives
@@ -367,3 +382,41 @@ class TestBatchAndReport:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["contact"]["row"] == "I"
+
+
+class TestRepresentativeReuse:
+    def test_representative_with_the_input_f_is_the_input(self, monkeypatch):
+        # contact row IV at mu = 4 has the representative q^(7/4): the
+        # check reads the input's own reduced coframe, decomposed once
+        from ode3geom import contact
+        calls = []
+        inner = contact.decompose_many
+
+        def spy(*args):
+            calls.append(args)
+            return inner(*args)
+        monkeypatch.setattr(contact, "decompose_many", spy)
+        report, _code = run_report("q^(7/4)", DEFAULT_CONFIG)
+        sec = report["contact"]
+        assert sec["row"] == "IV" and sec["parameters"]["mu"]["value"] == "4"
+        assert sec["diagnostics"]["tuple_verified"] is True
+        assert len(calls) == 1
+
+    def test_pulled_back_row_checks_a_representative_of_its_own(
+            self, monkeypatch):
+        from ode3geom import point
+        from ode3geom.jet import Ode3
+        from ode3geom.transform import pullback_ode, random_point_transforms
+        pb = pullback_ode(Ode3.from_text("exp(q)"),
+                          random_point_transforms(20260808, 8)[0])
+        reps = []
+        inner = point._verify_point_rep
+
+        def spy(nums, rep, pipeline, cfg):
+            reps.append(rep)
+            return inner(nums, rep, pipeline, cfg)
+        monkeypatch.setattr(point, "_verify_point_rep", spy)
+        res = point.classify_point(pb)
+        assert res.row == "VI" and res.diagnostics["tuple_verified"] is True
+        assert len(reps) == 1 and reps[0] is not pb
+        assert str(reps[0].F) == "exp(q)"

@@ -1,13 +1,16 @@
 """Exterior calculus: d, wedge, decomposition."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from ode3geom import forms
 from ode3geom.expr import is_zero, normalize, num, var
 from ode3geom.forms import (DX, DY, DP, DQ, Coframe, DegenerateCoframeError,
                             OneForm, d, decompose, decompose_many, df,
                             reconstruct, wedge)
+from ode3geom.jet import Ode3
 
 P, Q = var("p"), var("q")
 
@@ -94,6 +97,111 @@ class TestDecompose:
         cf = Coframe((DX, DX, DP, DQ))
         with pytest.raises(DegenerateCoframeError):
             decompose(wedge(DX, DP), cf)
+
+
+def _tree_solve(mat, rhss, config):
+    """The elimination as expression trees: each update is the tree
+    old - (f/piv)*x, lowered when next read.  The oracle for the RF-level
+    solve in forms._solve_linear_multi."""
+    n = len(mat)
+    k = len(rhss)
+    rows = [list(mat[i]) + [rhss[j][i] for j in range(k)] for i in range(n)]
+    for col in range(n):
+        pivot_row = None
+        best = None
+        best_size = None
+        for r in range(col, n):
+            e = rows[r][col]
+            if e.rf.is_zero_poly():
+                continue
+            if e.rf.is_const():
+                pivot_row = r
+                break
+            size = len(e.rf.num)
+            if (best_size is None or size < best_size) \
+                    and is_zero(e, config=config).is_nonzero:
+                best, best_size = r, size
+        if pivot_row is None:
+            pivot_row = best
+        if pivot_row is None:
+            raise DegenerateCoframeError(
+                "coframe degenerate on the sample domain")
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        piv = rows[col][col]
+        for r in range(n):
+            if r == col:
+                continue
+            f = rows[r][col]
+            if f.rf.is_zero_poly():
+                continue
+            ratio = f / piv
+            for c2 in range(col + 1, n + k):
+                if not rows[col][c2].rf.is_zero_poly():
+                    rows[r][c2] = rows[r][c2] - ratio * rows[col][c2]
+            rows[r][col] = num(0)
+    return [[normalize(rows[i][n + j] / rows[i][i]) for i in range(n)]
+            for j in range(k)]
+
+
+def _solves_of(monkeypatch, build):
+    """The arguments of every solve that build() runs."""
+    calls = []
+    inner = forms._solve_linear_multi
+
+    def spy(mat, rhss, config):
+        calls.append((mat, rhss, config))
+        return inner(mat, rhss, config)
+    monkeypatch.setattr(forms, "_solve_linear_multi", spy)
+    build()
+    monkeypatch.undo()
+    return calls
+
+
+def _reduced_contact(text, box=None):
+    from ode3geom.cli import parse_box
+    from ode3geom.contact import invariants_reduced
+    from ode3geom.expr import DEFAULT_CONFIG
+    cfg = DEFAULT_CONFIG if box is None else \
+        replace(DEFAULT_CONFIG, box=parse_box(box))
+    return lambda: invariants_reduced(Ode3.from_text(text), cfg)
+
+
+def _point_q3():
+    from ode3geom.point import point_reduced_fqqq
+    point_reduced_fqqq(Ode3.from_text("q^3"))
+
+
+def _maxwell():
+    from ode3geom.geometry import maxwell_matches_b
+    assert maxwell_matches_b(Ode3.from_text("3*q^2/p"))
+
+
+@pytest.mark.parametrize("build", [
+    _reduced_contact("exp(q)"),            # W != 0, with the b slots
+    _reduced_contact("q^(7/4)"),           # W != 0
+    _reduced_contact("q^(3/2)"),           # W = 0, F_qqqq != 0
+    # W = 0, row VIII at mu = 2: subtracting RF ratios instead changes 9
+    # of its 24 entries, 7 of them as printed
+    _reduced_contact("2*(2*q*y - p^2)^(3/2)/y^2",
+                     "x:-1:1,y:0.8:1.0,p:0.5:0.7,q:1.2:2.0"),
+    _point_q3,                             # point I.4 coframe
+    _maxwell,                              # geometry: d(phi) in the cobasis
+], ids=["exp(q)", "q^(7/4)", "q^(3/2)", "VIII mu=2", "point q^3",
+        "maxwell 3q^2/p"])
+def test_solve_is_the_tree_elimination_term_for_term(monkeypatch, build):
+    """Each entry has the tree solve's coefficient, numerator terms in the
+    same order and denominator, not only an equal value."""
+    calls = _solves_of(monkeypatch, build)
+    assert calls
+    for mat, rhss, config in calls:
+        got = forms._solve_linear_multi(mat, rhss, config)
+        want = _tree_solve(mat, rhss, config)
+        assert len(got) == len(want)
+        for grow, wrow in zip(got, want):
+            for g, w in zip(grow, wrow):
+                assert g.rf.c == w.rf.c
+                assert tuple(g.rf.num.items()) == tuple(w.rf.num.items())
+                assert g.rf.den == w.rf.den
 
 
 def _random_rational(rng):
