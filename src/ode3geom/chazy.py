@@ -198,7 +198,8 @@ def chazy_invariants(ode: Ode3) -> ChazyInvariants:
     """The basic invariants a, a4 = X4(a), b, c, their frame derivatives
     and the residual reduction conditions (the fourth defines tau)."""
     F = ode.F
-    K, _L, _M, W = klmw(ode)
+    inv = klmw(ode)
+    K, W = inv.K, inv.W
     P, Q = _pq(ode)
     Fq = pd(F, "q")
     Fqp = pd(F, "q", "p")

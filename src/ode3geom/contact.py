@@ -332,7 +332,8 @@ def invariants_reduced(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG
     else:
         eps_sq = sign_on_domain(disc1, config=config)
         F = ode.F
-        K, L = klmw(ode)[:2]
+        inv = klmw(ode)
+        K, L = inv.K, inv.L
         cubed = normalize(2 * pd(F, "q", "q", "q", "q") * pd(L, "q", "q")
                           - 3 * pd(K, "q", "q", "q") ** 3)
         diagnostics = {

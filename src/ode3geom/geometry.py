@@ -106,7 +106,8 @@ def cotton(ode: Ode3) -> tuple:
     from the ODE alone: no W verdict is taken, so a caller that has not
     found W = 0 itself calls cotton_components instead."""
     F = ode.F
-    K, L, M = klmw(ode)[:3]
+    inv = klmw(ode)
+    K, L, M = inv.K, inv.L, inv.M
     Kq = pd(K, "q")
     w1, w2, w3, _ = omega_forms(ode)
 
@@ -176,7 +177,8 @@ def point_b_functions(ode: Ode3) -> tuple:
 def weyl_b_functions(ode: Ode3) -> tuple:
     """B1..B4 of the Einstein-Weyl curvature at the identity section."""
     F = ode.F
-    K, L = klmw(ode)[:2]
+    inv = klmw(ode)
+    K, L = inv.K, inv.L
     Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
     B1, B2, B4 = point_b_functions(ode)
     B3 = normalize(F3(1, 6) * pd(F, "q", "q", "y")

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import wraps
-from typing import NamedTuple, Optional, Sequence, Union
+from functools import cached_property, wraps
+from typing import Optional, Sequence, Union
 
 from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, is_zero, normalize,
                    parse, partial, var)
@@ -59,9 +59,6 @@ class Ode3:
         if bad:
             raise ValueError(f"F contains non-jet variables: {sorted(bad)}")
 
-    def D(self, e: Expr) -> Expr:
-        return total_derivative(e, self)
-
 
 def per_ode(fn):
     """Cache fn(ode, *args) on the ODE, one result per ODE and arguments.
@@ -82,21 +79,52 @@ def per_ode(fn):
     return cached
 
 
-class KLMW(NamedTuple):
-    K: Expr
-    L: Expr
-    M: Expr
-    W: Expr
+class KLMW:
+    """K, L, M and W of y''' = F, each built when first read; nothing is
+    sampled.  Holds F, not the Ode3 whose memo holds it: no cycle."""
+
+    def __init__(self, F: Expr):
+        self.F, self.Fq = F, pd(F, "q")
+
+    def __iter__(self):
+        return iter((self.K, self.L, self.M, self.W))
+
+    @cached_property
+    def K(self) -> Expr:
+        F, Fq = self.F, self.Fq
+        return normalize(F3(1, 6) * total_derivative(Fq, F)
+                         - F3(1, 9) * Fq * Fq - F3(1, 2) * pd(F, "p"))
+
+    @cached_property
+    def L(self) -> Expr:
+        F, Fq, K, Kq = self.F, self.Fq, self.K, pd(self.K, "q")
+        return normalize(F3(1, 3) * pd(F, "q", "q") * K - F3(1, 3) * Fq * Kq
+                         - pd(K, "p") - F3(1, 3) * pd(F, "q", "y"))
+
+    @cached_property
+    def M(self) -> Expr:
+        F, Fq, K, L = self.F, self.Fq, self.K, self.L
+        return normalize(2 * pd(K, "q", "q") * K - 2 * pd(K, "q", "y")
+                         + F3(1, 3) * pd(F, "q", "q") * L
+                         - F3(2, 3) * Fq * pd(L, "q") - 2 * pd(L, "p"))
+
+    @cached_property
+    def W(self) -> Expr:
+        F, Fq, K = self.F, self.Fq, self.K
+        return normalize(total_derivative(K, F) - F3(2, 3) * Fq * K
+                         + pd(F, "y"))
 
 
 @dataclass(frozen=True)
 class JetInvariants:
-    K: Expr
-    L: Expr
-    M: Expr
-    W: Expr
+    """klmw, read through for K, L, M and W, with the W verdict and Z."""
+    klmw: KLMW
     Z: Optional[Expr]          # None unless W is nonzero on the box
     w_verdict: object
+    K = property(lambda self: self.klmw.K)
+    L = property(lambda self: self.klmw.L)
+    M = property(lambda self: self.klmw.M)
+    W = property(lambda self: self.klmw.W)
 
 
 def total_derivative(e: Expr, ode: Union[Ode3, Expr]) -> Expr:
@@ -110,28 +138,15 @@ def total_derivative(e: Expr, ode: Union[Ode3, Expr]) -> Expr:
 
 @per_ode
 def klmw(ode: Ode3) -> KLMW:
-    """The relative invariants K, L, M and W, built symbolically; nothing
-    is sampled."""
-    F = ode.F
-    Fq = pd(F, "q")
-    K = F3(1, 6) * ode.D(Fq) - F3(1, 9) * Fq * Fq - F3(1, 2) * pd(F, "p")
-    K = normalize(K)
-    Kq = pd(K, "q")
-    L = (F3(1, 3) * pd(F, "q", "q") * K - F3(1, 3) * Fq * Kq
-         - pd(K, "p") - F3(1, 3) * pd(F, "q", "y"))
-    L = normalize(L)
-    M = (2 * pd(K, "q", "q") * K - 2 * pd(K, "q", "y")
-         + F3(1, 3) * pd(F, "q", "q") * L - F3(2, 3) * Fq * pd(L, "q")
-         - 2 * pd(L, "p"))
-    W = normalize(ode.D(K) - F3(2, 3) * Fq * K + pd(F, "y"))
-    return KLMW(K, L, normalize(M), W)
+    """K, L, M and W of the equation, each built when first read."""
+    return KLMW(ode.F)
 
 
 @per_ode
 def z_invariant(ode: Ode3) -> Expr:
     """Z = DW/W - F_q, built symbolically; defined only where W != 0."""
     W = klmw(ode).W
-    return normalize(ode.D(W) / W - pd(ode.F, "q"))
+    return normalize(total_derivative(W, ode) / W - pd(ode.F, "q"))
 
 
 @per_ode
@@ -140,7 +155,7 @@ def jet_invariants(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> JetInvaria
     verdict is nonzero; taken once per config."""
     inv = klmw(ode)
     wv = is_zero(inv.W, config=config)
-    return JetInvariants(*inv, Z=z_invariant(ode) if wv.is_nonzero else None,
+    return JetInvariants(inv, Z=z_invariant(ode) if wv.is_nonzero else None,
                          w_verdict=wv)
 
 

@@ -282,18 +282,19 @@ def _classify_point_w0(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
     f4z = require(is_zero(pd(F, "q", "q", "q", "q"), config=config), "F_qqqq")
     if f4z:
         # branch with F_qqq != 0: compare the constant structure slots of
-        # the reduced coframe with those of q^3 (the input when F = q^3)
+        # the reduced coframe with those of q^3 (the input's own if F = q^3)
         vals = point_reduced_fqqq(ode, config)
         q3 = Ode3.from_text("q^3")
-        rep_vals = point_reduced_fqqq(ode if q3.F.rf == F.rf else q3, config)
+        same = q3.F.rf == F.rf
+        rep_vals = vals if same else point_reduced_fqqq(q3, config)
         diag = {}
         for key in sorted(k for k in rep_vals if k.startswith("T")):
             const = is_constant(rep_vals[key], config)
-            if const != is_constant(vals[key], config):
+            if not same and const != is_constant(vals[key], config):
                 break
             if const:
                 rv = const_value(rep_vals[key], config)
-                diag[key] = cv = const_value(vals[key], config)
+                diag[key] = cv = rv if same else const_value(vals[key], config)
                 if not tuples_match([cv], [rv]):
                     break
         else:

@@ -402,6 +402,20 @@ class TestRepresentativeReuse:
         assert sec["diagnostics"]["tuple_verified"] is True
         assert len(calls) == 1
 
+    def test_q3_slots_tested_and_valued_once(self, monkeypatch):
+        # point row I.4 compares the slots of q^3 with its own
+        from ode3geom import point
+        from ode3geom.jet import Ode3
+        seen = {"is_constant": [], "const_value": []}
+        for name in seen:
+            def spy(e, config, inner=getattr(point, name), name=name):
+                seen[name].append(id(e))
+                return inner(e, config)
+            monkeypatch.setattr(point, name, spy)
+        assert point.classify_point(Ode3.from_text("q^3")).row == "I.4"
+        for ids in seen.values():
+            assert ids and len(ids) == len(set(ids))
+
     def test_pulled_back_row_checks_a_representative_of_its_own(
             self, monkeypatch):
         from ode3geom import point

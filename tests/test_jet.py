@@ -1,5 +1,7 @@
 """Total derivative and the scalar invariants K, L, M, W, Z."""
+import gc
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,8 +10,9 @@ import pytest
 from ode3geom.expr import (DEFAULT_CONFIG, ZeroConfig, is_zero, normalize,
                            num, parse, partial, var)
 from ode3geom.jet import (Ode3, VectorField, WunschmannZeroError,
-                          frame_derivative, jet_invariants, pd,
+                          frame_derivative, jet_invariants, klmw, pd,
                           total_derivative, zee)
+from test_golden import CASES
 
 Y, P, Q = var("y"), var("p"), var("q")
 
@@ -143,6 +146,91 @@ class TestVerdictMemo:
         jet_invariants(ode, other_seed)
         jet_invariants(ode, other_box)
         assert draws == [other_seed, other_box]
+
+
+class TestLazyInvariants:
+    """klmw builds each of K, L, M and W the first time it is read."""
+
+    @staticmethod
+    def built(ode) -> set:
+        return {"K", "L", "M", "W"} & set(vars(klmw(ode)))
+
+    @pytest.mark.parametrize("text", ["exp(q)", "0"])
+    def test_point_classifier_and_w_verdict_build_no_l_or_m(self, text):
+        # one pullback of criterion 7's battery
+        from ode3geom.point import classify_point
+        from ode3geom.transform import pullback_ode, random_point_transforms
+        t = random_point_transforms(20260808, 1)[0]
+        pb = pullback_ode(Ode3.from_text(text), t)
+        classify_point(pb, DEFAULT_CONFIG)
+        jet_invariants(pb, DEFAULT_CONFIG).w_verdict
+        assert self.built(pb) == {"K", "W"}
+
+    def test_each_is_built_once_and_unpacking_builds_all(self):
+        ode = Ode3.from_text("exp(q)")
+        inv = klmw(ode)
+        assert self.built(ode) == set()
+        assert inv.M is klmw(ode).M
+        assert self.built(ode) == {"K", "L", "M"}
+        K, L, M, W = klmw(ode)
+        assert all(a is b for a, b in zip((K, L, M, W), inv))
+        assert is_zero(W - parse("2*exp(q)^3/27")).is_zero
+
+    def test_no_reference_cycle_keeps_the_equation(self):
+        # the Ode3's memo holds klmw's object, which must not point back
+        gc.disable()
+        try:
+            ode = Ode3.from_text("exp(q)")
+            klmw(ode).W
+            ref = weakref.ref(ode)
+            del ode
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestSympyOracle:
+    """L and M recomputed by sympy from F alone, on the table
+    representatives."""
+
+    @pytest.mark.parametrize("stem,text,box", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_l_and_m(self, stem, text, box):
+        sympy = pytest.importorskip("sympy")
+        from ode3geom.cli import parse_box
+        from ode3geom.expr import DomainError, SingularPointError, eval_at
+        from ode3geom.expr.zerotest import sample_points
+        syms = sympy.symbols("x y p q", real=True)
+        x, y, p, q = syms
+        F = sympy.parse_expr(text.replace("^", "**"),
+                             local_dict=dict(zip("xypq", syms)))
+
+        def D(e):
+            return e.diff(x) + p * e.diff(y) + q * e.diff(p) \
+                + F * e.diff(q)
+
+        Fq, Fqq = F.diff(q), F.diff(q, q)
+        K = D(Fq) / 6 - Fq ** 2 / 9 - F.diff(p) / 2
+        L = Fqq * K / 3 - Fq * K.diff(q) / 3 - K.diff(p) - F.diff(q, y) / 3
+        M = (2 * K.diff(q, q) * K - 2 * K.diff(q, y) + Fqq * L / 3
+             - 2 * Fq * L.diff(q) / 3 - 2 * L.diff(p))
+        want = [sympy.lambdify(syms, e, modules="math") for e in (L, M)]
+        inv = klmw(Ode3.from_text(text))
+        cfg = DEFAULT_CONFIG if box is None else \
+            replace(DEFAULT_CONFIG, box=parse_box(box))
+        checked = 0
+        for env, _ in zip(sample_points(cfg), range(100)):
+            try:
+                got = [eval_at(e, env) for e in (inv.L, inv.M)]
+            except (DomainError, SingularPointError):
+                continue
+            at = [env[v] for v in "xypq"]
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w(*at), rel=1e-9, abs=1e-12)
+            checked += 1
+            if checked == 4:
+                break
+        assert checked == 4
 
 
 class TestFrameDerivative:
