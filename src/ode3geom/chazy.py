@@ -334,11 +334,13 @@ def chazy_classify(ode: Ode3,
         inv = chazy_invariants(ode)
         conditions = {k: is_zero(e, config=config)
                       for k, e in inv.conditions.items()}
-    for cls in candidates:
+    for i, cls in enumerate(candidates, 1):
         cond40 = dict(conditions,
                       c5=is_zero(c5_residual(cls, inv), config=config))
         cond_ok = all(require(v, f"condition {k}")
                       for k, v in cond40.items())
+        if not cond_ok and i < len(candidates):
+            continue        # the next candidate's statuses replace these
         res = syzygy_residuals(cls, inv)
         verdicts = {k: is_zero(v, config=config) for k, v in res.items()}
         report.cond40 = {k: v.status for k, v in cond40.items()}

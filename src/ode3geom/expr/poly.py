@@ -651,9 +651,12 @@ def _den_key(den: tuple):
 
 
 class RF:
-    """c * num / product(f_i^e_i); num and the f_i primitive int polys."""
+    """c * num / product(f_i^e_i); num and the f_i primitive int polys.
 
-    __slots__ = ("c", "num", "den", "_key", "_hash")
+    _made marks an RF that _make returned, or one rescaled from it by a
+    nonzero rational: _make returns it unchanged but for c (see __mul__)."""
+
+    __slots__ = ("c", "num", "den", "_key", "_hash", "_made")
 
     def __init__(self, c: Fraction, num: dict, den: tuple):
         self.c = c
@@ -661,6 +664,7 @@ class RF:
         self.den = den
         self._key = None
         self._hash = None
+        self._made = False
 
     @staticmethod
     def _raw(c: Fraction, num: dict, den: tuple) -> "RF":
@@ -670,6 +674,7 @@ class RF:
         out.den = den
         out._key = None
         out._hash = None
+        out._made = False
         return out
 
     def key(self):
@@ -731,7 +736,7 @@ class RF:
         return _make(g, s, den)
 
     def __neg__(self) -> "RF":
-        return RF._raw(-self.c, self.num, self.den)
+        return _rescaled(-self.c, self)
 
     def __sub__(self, other: "RF") -> "RF":
         return self + (-other)
@@ -739,6 +744,15 @@ class RF:
     def __mul__(self, other: "RF") -> "RF":
         if not self.num or not other.num:
             return RF_ZERO
+        # A rational constant times a _made RF: _make would find nothing
+        # to splice, clear or cancel that it did not find before (scaling
+        # by a nonzero rational changes no divisibility), so skip it.
+        if other._made and not self.den and len(self.num) == 1 \
+                and MONE in self.num:
+            return _rescaled(self.c * other.c * self.num[MONE], other)
+        if self._made and not other.den and len(other.num) == 1 \
+                and MONE in other.num:
+            return _rescaled(self.c * other.c * other.num[MONE], self)
         return _make(self.c * other.c, poly_mul(self.num, other.num),
                      _den_mul(self.den, other.den))
 
@@ -784,6 +798,14 @@ class RF:
                          tuple((k, f, e * n) for k, f, e in self.den))
         inv = RF_ONE / self
         return inv.intpow(-n)
+
+
+def _rescaled(c: Fraction, rf: RF) -> RF:
+    """rf with c for rf.c, keeping its mark: c / rf.c must be a nonzero
+    rational."""
+    out = RF._raw(c, rf.num, rf.den)
+    out._made = rf._made
+    return out
 
 
 def _den_mul(d1: tuple, d2: tuple) -> tuple:
@@ -899,7 +921,9 @@ def _make(c: Fraction, num: dict, den: tuple) -> "RF":
             den = tuple(new_den)
             again = undecided and divided
     cc, num = poly_primitive(num)
-    return RF._raw(c if cc == 1 else c * cc, num, den)
+    out = RF._raw(c if cc == 1 else c * cc, num, den)
+    out._made = True
+    return out
 
 
 RF_ZERO = RF._raw(Fraction(0), {}, ())
@@ -1256,11 +1280,11 @@ def drf(rf: RF, v: int) -> RF:
             if dfac.is_zero_poly():
                 continue
             term = num_rf * dfac * inv_den / RF._raw(Fraction(1), f, ())
-            out = out + RF._raw(term.c * (-e), term.num, term.den)
+            out = out + _rescaled(term.c * (-e), term)
     else:
         out = dn
     if rf.c != 1 and not out.is_zero_poly():
-        out = RF._raw(out.c * rf.c, out.num, out.den)
+        out = _rescaled(out.c * rf.c, out)
     _drf_cache[key] = out
     return out
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, is_zero, normalize,
                    parse, partial, var)
@@ -80,8 +80,8 @@ def per_ode(fn):
 
 
 class KLMW:
-    """K, L, M and W of y''' = F, each built when first read; nothing is
-    sampled.  Holds F, not the Ode3 whose memo holds it: no cycle."""
+    """K, L, M, W and Z of y''' = F, each built when first read; nothing
+    is sampled.  Holds F, not the Ode3 whose memo holds it: no cycle."""
 
     def __init__(self, F: Expr):
         self.F, self.Fq = F, pd(F, "q")
@@ -114,17 +114,25 @@ class KLMW:
         return normalize(total_derivative(K, F) - F3(2, 3) * Fq * K
                          + pd(F, "y"))
 
+    @cached_property
+    def Z(self) -> Expr:
+        """Z = DW/W - F_q; defined only where W != 0."""
+        W = self.W
+        return normalize(total_derivative(W, self.F) / W - self.Fq)
+
 
 @dataclass(frozen=True)
 class JetInvariants:
-    """klmw, read through for K, L, M and W, with the W verdict and Z."""
+    """klmw, read through for K, L, M, W and Z, with the W verdict."""
     klmw: KLMW
-    Z: Optional[Expr]          # None unless W is nonzero on the box
     w_verdict: object
     K = property(lambda self: self.klmw.K)
     L = property(lambda self: self.klmw.L)
     M = property(lambda self: self.klmw.M)
     W = property(lambda self: self.klmw.W)
+    # None unless W is nonzero on the box
+    Z = property(lambda self: self.klmw.Z if self.w_verdict.is_nonzero
+                 else None)
 
 
 def total_derivative(e: Expr, ode: Union[Ode3, Expr]) -> Expr:
@@ -142,21 +150,17 @@ def klmw(ode: Ode3) -> KLMW:
     return KLMW(ode.F)
 
 
-@per_ode
 def z_invariant(ode: Ode3) -> Expr:
     """Z = DW/W - F_q, built symbolically; defined only where W != 0."""
-    W = klmw(ode).W
-    return normalize(total_derivative(W, ode) / W - pd(ode.F, "q"))
+    return klmw(ode).Z
 
 
 @per_ode
 def jet_invariants(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> JetInvariants:
-    """klmw(ode) with the W verdict on config's box, and Z where that
-    verdict is nonzero; taken once per config."""
+    """klmw(ode) with the W verdict on config's box; Z reads as None
+    unless that verdict is nonzero.  Taken once per config."""
     inv = klmw(ode)
-    wv = is_zero(inv.W, config=config)
-    return JetInvariants(inv, Z=z_invariant(ode) if wv.is_nonzero else None,
-                         w_verdict=wv)
+    return JetInvariants(inv, w_verdict=is_zero(inv.W, config=config))
 
 
 def zee(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> Expr:

@@ -189,12 +189,15 @@ class TestTransform:
 
 class TestOneGate:
     def test_pq_tested_once_and_frame_built_once(self, monkeypatch):
-        # a class VI pullback has tau = 1/12, so IV, V and VI are all tried
+        # a class VI pullback has tau = 1/12, so IV, V and VI are all tried;
+        # the syzygies are built only for VI, the first whose conditions
+        # hold
         pb = pullback_ode(chazy_class("VI").canonical_ode(), FP_BATTERY[0],
                           CFG)
-        tested, built, tried = [], [], []
+        tested, built, tried, syzygies = [], [], [], []
         real_is_zero = chazy.is_zero
         real_coframe = chazy.reduced_point_coframe
+        real_c5 = chazy.c5_residual
         real_residuals = chazy.syzygy_residuals
 
         def spy_is_zero(e, *args, **kwargs):
@@ -205,18 +208,24 @@ class TestOneGate:
             built.append(args)
             return real_coframe(*args)
 
-        def spy_residuals(cls, inv):
+        def spy_c5(cls, inv):
             tried.append(cls.id)
+            return real_c5(cls, inv)
+
+        def spy_residuals(cls, inv):
+            syzygies.append(cls.id)
             return real_residuals(cls, inv)
 
         monkeypatch.setattr(chazy, "is_zero", spy_is_zero)
         monkeypatch.setattr(chazy, "reduced_point_coframe", spy_coframe)
+        monkeypatch.setattr(chazy, "c5_residual", spy_c5)
         monkeypatch.setattr(chazy, "syzygy_residuals", spy_residuals)
         args = argparse.Namespace(transform=True, base="0,1,0,0", c1=1.0,
                                   c2=0.0)
         out = cli.report_chazy(pb, CFG, args)
         assert out["matched"]["class"] == "VI" and out["transform"]
         assert tried == ["IV", "V", "VI"]
+        assert syzygies == ["VI"]
         P, Q = chazy._pq(pb)
         assert tested.count(str(P)) == 1
         assert tested.count(str(Q)) == 1

@@ -501,6 +501,49 @@ class TestExactDivision:
         assert rf.num == _poly((1, {v: 2}), (1, {v: 1}), (1, {}))
 
 
+def _terms(rf):
+    """rf's canonical form term for term: c and its type, num in order,
+    den."""
+    return type(rf.c), rf.c, tuple(rf.num.items()), rf.den
+
+
+class TestMadeShortcut:
+    """A rational constant times an RF that _make returned skips _make."""
+
+    def _made(self):
+        # x / (x + y)^2 * (q - 1): a multi-term den the num does not cancel
+        num = _poly((1, {"x": 1, "q": 1}), (-1, {"x": 1}))
+        rf = poly._make(Fraction(1), num,
+                        _den((_poly((1, {"x": 1}), (1, {"y": 1})), 2)))
+        assert rf._made and len(rf.den[0][1]) == 2
+        return rf
+
+    @pytest.mark.parametrize("k", [Fraction(3, 7), Fraction(-2), 1])
+    def test_constant_times_made_tries_no_division(self, monkeypatch, k):
+        x = self._made()
+        want = _terms(poly._make(k * x.c, x.num, x.den))
+        divisions = _count_calls(monkeypatch, "poly_div_exact")
+        makes = _count_calls(monkeypatch, "_make")
+        got = (poly.rf_const(k) * x, x * poly.rf_const(k))
+        assert divisions == [] and makes == []
+        assert all(_terms(g) == want and g._made for g in got)
+
+    def test_negation_and_derivative_keep_the_mark(self):
+        x = self._made()
+        assert (-x)._made
+        assert poly.drf(x, poly.var_atom("x"))._made
+        assert not poly.RF._raw(Fraction(1), dict(poly.P_ONE), ())._made
+
+    def test_unmarked_raw_rf_goes_through_make(self, monkeypatch):
+        # a prime atom to the power 1 is not canonical: _make splices it
+        # out into the coefficient
+        raw = poly.RF._raw(Fraction(1), {((poly.prime_atom(2), 1),): 1}, ())
+        makes = _count_calls(monkeypatch, "_make")
+        got = poly.rf_const(Fraction(3)) * raw
+        assert len(makes) == 1
+        assert _terms(got) == _terms(poly.rf_const(Fraction(6)))
+
+
 # exponents of one atom in one random term: negative, fractional, and an
 # atom that is an int in one term and a Fraction in another
 _EXPS = (0, 0, 1, 2, 3, -1, -2, HALF, -HALF, Fraction(3, 2), Fraction(2, 3),

@@ -6,6 +6,7 @@ that only makes the program faster must reproduce every byte, verdicts and
 printed symbolic strings alike; regenerate a file only together with a
 change that means to alter the report.
 """
+import json
 import os
 import subprocess
 import sys
@@ -55,3 +56,50 @@ def test_report_bytes_match_golden(stem, text, box):
     proc = cold_report(text, box, src)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / f"{stem}.json").read_bytes()
+
+
+# Runs the 14 reports in one fresh interpreter, records every RF that _make
+# returns or rescales, and makes each again from its own c, num and den.
+_FIXED_POINT = """
+import contextlib, io, json, sys
+from ode3geom.cli import main
+from ode3geom.expr import poly
+
+made = []
+_make, _rescaled = poly._make, poly._rescaled
+
+
+def record(fn):
+    def recorded(*args):
+        out = fn(*args)
+        if out._made:
+            made.append(out)
+        return out
+    return recorded
+
+
+poly._make, poly._rescaled = record(_make), record(_rescaled)
+for text, box in json.loads(sys.argv[1]):
+    argv = ["report", "--json", "--ode", text] + (["--box", box] if box else [])
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+poly._make = _make
+moved = []
+for rf in made:
+    again = _make(rf.c, rf.num, rf.den)
+    if (type(again.c), again.c, tuple(again.num.items()), again.den) != \
+            (type(rf.c), rf.c, tuple(rf.num.items()), rf.den):
+        moved.append(repr(rf.key()))
+print(json.dumps({"made": len(made), "moved": moved[:3]}))
+"""
+
+
+def test_make_is_a_fixed_point_of_every_report_rf():
+    src = str(Path(ode3geom.__file__).resolve().parent.parent)
+    cases = json.dumps([[text, box] for _stem, text, box in CASES])
+    proc = subprocess.run([sys.executable, "-c", _FIXED_POINT, cases],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["made"] > 1000 and got["moved"] == []

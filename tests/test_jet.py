@@ -11,7 +11,7 @@ from ode3geom.expr import (DEFAULT_CONFIG, ZeroConfig, is_zero, normalize,
                            num, parse, partial, var)
 from ode3geom.jet import (Ode3, VectorField, WunschmannZeroError,
                           frame_derivative, jet_invariants, klmw, pd,
-                          total_derivative, zee)
+                          total_derivative, z_invariant, zee)
 from test_golden import CASES
 
 Y, P, Q = var("y"), var("p"), var("q")
@@ -149,11 +149,11 @@ class TestVerdictMemo:
 
 
 class TestLazyInvariants:
-    """klmw builds each of K, L, M and W the first time it is read."""
+    """klmw builds each of K, L, M, W and Z the first time it is read."""
 
     @staticmethod
     def built(ode) -> set:
-        return {"K", "L", "M", "W"} & set(vars(klmw(ode)))
+        return {"K", "L", "M", "W", "Z"} & set(vars(klmw(ode)))
 
     @pytest.mark.parametrize("text", ["exp(q)", "0"])
     def test_point_classifier_and_w_verdict_build_no_l_or_m(self, text):
@@ -176,12 +176,22 @@ class TestLazyInvariants:
         assert all(a is b for a, b in zip((K, L, M, W), inv))
         assert is_zero(W - parse("2*exp(q)^3/27")).is_zero
 
+    def test_z_is_built_when_read_and_only_where_w_is_nonzero(self):
+        ode = Ode3.from_text("exp(q)")
+        inv = jet_invariants(ode)
+        assert inv.w_verdict.is_nonzero and self.built(ode) == {"K", "W"}
+        assert inv.Z is z_invariant(ode) is zee(ode)
+        assert self.built(ode) == {"K", "W", "Z"}
+        flat = Ode3.from_text("0")
+        assert jet_invariants(flat).Z is None
+        assert "Z" not in self.built(flat)
+
     def test_no_reference_cycle_keeps_the_equation(self):
         # the Ode3's memo holds klmw's object, which must not point back
         gc.disable()
         try:
             ode = Ode3.from_text("exp(q)")
-            klmw(ode).W
+            klmw(ode).Z
             ref = weakref.ref(ode)
             del ode
             assert ref() is None
