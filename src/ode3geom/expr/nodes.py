@@ -585,6 +585,22 @@ def _needs_parens_in_product(e: Expr) -> bool:
     return e.kind == ADD or (e.kind == NUM and e.data < 0)
 
 
+def _wrapped(s: str) -> bool:
+    """Is s one parenthesised group: does its first "(" close at its end?
+    "(-1) + exp(q)" starts with "(" and ends with ")" but is not."""
+    depth = 0
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if not depth:
+                return i == len(s) - 1
+        elif not depth:
+            return False
+    return False
+
+
 def _frac_str(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
@@ -622,14 +638,14 @@ def to_str(e: Expr) -> str:
         parts = []
         for f in e.args:
             s = to_str(f)
-            if _needs_parens_in_product(f) and not (s.startswith("(") and s.endswith(")")):
+            if _needs_parens_in_product(f) and not _wrapped(s):
                 s = f"({s})"
             parts.append(s)
         return "*".join(parts)
     if k == POW:
         b = e.args[0]
         bs = to_str(b)
-        if b.kind in (ADD, MUL, POW, NUM) and not (bs.startswith("(") and bs.endswith(")")):
+        if b.kind in (ADD, MUL, POW, NUM) and not _wrapped(bs):
             bs = f"({bs})"
         return f"{bs}^{_pow_exp_str(e.data)}"
     if k == FUN:

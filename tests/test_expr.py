@@ -55,6 +55,21 @@ class TestParse:
         e = parse(text)
         assert parse(str(e)) == e
 
+    @pytest.mark.parametrize("e, printed", [
+        # a sum that starts with "(" and ends with ")" inside a product
+        (normalize(parse("(exp(q)-1)/p")), "((-1) + exp(q))*p^(-1)"),
+        # ... and as the base of a power
+        (normalize(parse("p*(exp(q)-1)^(1/3)")), "p*((-1) + exp(q))^(1/3)"),
+        # a product of two sums as the base of a power
+        (pow_(parse("(exp(q)-1)*(p+1)"), Fraction(1, 3)),
+         "((exp(q) - 1)*(p + 1))^(1/3)"),
+    ])
+    def test_printed_string_keeps_the_value(self, e, printed):
+        assert str(e) == printed
+        pt = JetPoint(0.1, 0.9, 0.6, 1.5)
+        assert eval_at(parse(printed), pt) == pytest.approx(eval_at(e, pt),
+                                                            rel=1e-12)
+
 
 class TestPartial:
     def test_simple(self):

@@ -103,3 +103,82 @@ def test_make_is_a_fixed_point_of_every_report_rf():
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["made"] > 1000 and got["moved"] == []
+
+
+# Runs one report in a fresh interpreter, as the golden file was made, and
+# keeps the Expr behind each printed string; then values every symbolic
+# string of the golden file, parsed back, against its Expr.
+_ROUND_TRIP = """
+import contextlib, io, json, math, random, sys
+from fractions import Fraction
+from ode3geom.cli import main
+from ode3geom.expr import (DomainError, SingularPointError, eval_at, nodes,
+                           parse)
+
+printed = {}
+_str = nodes.Expr.__str__
+
+
+def spy(e):
+    s = _str(e)
+    printed.setdefault(s, e)
+    return s
+
+
+nodes.Expr.__str__ = spy
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    main(sys.argv[2:])
+nodes.Expr.__str__ = _str
+box = json.loads(out.getvalue())["config"]["box"]
+rng = random.Random(1)
+points = [{v: rng.uniform(*r) for v, r in box.items()} for _ in range(40)]
+
+
+def symbolic(x):
+    if isinstance(x, dict):
+        if x.get("provenance") == "symbolic" and isinstance(x.get("value"), str):
+            yield x["value"]
+        for v in x.values():
+            yield from symbolic(v)
+    elif isinstance(x, list):
+        for v in x:
+            yield from symbolic(v)
+
+
+unknown, wrong, valued = [], [], 0
+for s in set(symbolic(json.load(open(sys.argv[1])))):
+    if s not in printed:
+        try:
+            Fraction(s)
+        except ValueError:
+            unknown.append(s)
+        continue
+    e, back = printed[s], parse(s)
+    for pt in points:
+        try:
+            want = eval_at(e, pt)
+        except (DomainError, SingularPointError, OverflowError):
+            continue
+        got = eval_at(back, pt)
+        valued += 1
+        if not math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9):
+            wrong.append([s, pt, got, want])
+            break
+print(json.dumps({"unknown": unknown, "wrong": wrong[:3], "valued": valued}))
+"""
+
+
+@pytest.mark.parametrize("stem,text,box", CASES, ids=[c[0] for c in CASES])
+def test_printed_strings_parse_back_to_their_values(stem, text, box):
+    src = str(Path(ode3geom.__file__).resolve().parent.parent)
+    argv = ["report", "--json", "--ode", text] + (["--box", box] if box
+                                                  else [])
+    proc = subprocess.run([sys.executable, "-c", _ROUND_TRIP,
+                           str(GOLDEN / f"{stem}.json"), *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["unknown"] == [] and got["wrong"] == []
+    assert got["valued"] > 0
