@@ -16,7 +16,7 @@ from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, abs_, atan, exp, is_zero,
                    normalize, num, pow_, sign_on_domain, var)
 from .forms import Coframe, OneForm, d, decompose, decompose_many
 from .jet import (Ode3, WunschmannZeroError, jet_invariants, klmw, pd, pdl,
-                  per_ode, total_derivative_tree, z_invariant)
+                  per_ode, total_derivative_tree)
 
 TRIVIAL_FLAT = "trivial-flat"
 W0_FQQQQ = "W0-Fqqqq"
@@ -193,9 +193,8 @@ def _u_nonwunschmann(ode: Ode3, case: int, config: ZeroConfig) -> Expr:
 def nonwunschmann_coframe(ode: Ode3, u: Expr) -> Coframe:
     """The reduced contact coframe on J^2 for W != 0."""
     inv = klmw(ode)
-    K, W = inv.K, inv.W
+    K, W, Z = inv.K, inv.W, inv.Z
     F = ode.F
-    Z = z_invariant(ode)
     w1, w2, w3, w4 = _plain_omegas(ode)
     cbw = pow_(W, F3(1, 3))
     cbw2 = pow_(W, F3(2, 3))

@@ -150,11 +150,6 @@ def klmw(ode: Ode3) -> KLMW:
     return KLMW(ode.F)
 
 
-def z_invariant(ode: Ode3) -> Expr:
-    """Z = DW/W - F_q, built symbolically; defined only where W != 0."""
-    return klmw(ode).Z
-
-
 @per_ode
 def jet_invariants(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> JetInvariants:
     """klmw(ode) with the W verdict on config's box; Z reads as None

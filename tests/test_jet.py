@@ -11,7 +11,7 @@ from ode3geom.expr import (DEFAULT_CONFIG, ZeroConfig, is_zero, normalize,
                            num, parse, partial, var)
 from ode3geom.jet import (Ode3, VectorField, WunschmannZeroError,
                           frame_derivative, jet_invariants, klmw, pd,
-                          total_derivative, z_invariant, zee)
+                          total_derivative, zee)
 from test_golden import CASES
 
 Y, P, Q = var("y"), var("p"), var("q")
@@ -180,7 +180,7 @@ class TestLazyInvariants:
         ode = Ode3.from_text("exp(q)")
         inv = jet_invariants(ode)
         assert inv.w_verdict.is_nonzero and self.built(ode) == {"K", "W"}
-        assert inv.Z is z_invariant(ode) is zee(ode)
+        assert inv.Z is klmw(ode).Z is zee(ode)
         assert self.built(ode) == {"K", "W", "Z"}
         flat = Ode3.from_text("0")
         assert jet_invariants(flat).Z is None
