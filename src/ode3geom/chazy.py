@@ -49,7 +49,7 @@ class ChazyClass:
         y, p, q = var("y"), var("p"), var("q")
         F = (num(self.kappa) * y * q + num(self.lam) * p * p
              + num(self.mu) * y * y * p + num(self.nu) * y ** 4)
-        return Ode3(normalize(F), provenance=f"Chazy {self.id}")
+        return Ode3(normalize(F))
 
 
 _FIXED = {                  # kappa, lambda, mu, nu

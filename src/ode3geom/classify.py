@@ -6,10 +6,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .expr import (DEFAULT_CONFIG, Expr, SignConsistencyError, ZeroConfig,
+from .expr import (DEFAULT_CONFIG, Expr, JET_VARS as JET,
+                   SignConsistencyError, ZeroConfig, is_zero,
                    values_on_samples)
 
-JET = ("x", "y", "p", "q")
 # Relative tolerances: samples of one constant, a sampled value and the
 # rational it snaps to, and two tuples of constants that match.
 SPREAD_TOL = 1e-7
@@ -133,13 +133,16 @@ def const_value(e: Expr, config: ZeroConfig = DEFAULT_CONFIG) -> float:
 
     Individual samples can lose all their digits to cancellation on large
     pulled-back invariants, so the value is the median of the agreeing
-    majority rather than demanding every sample coincide."""
+    majority rather than demanding every sample coincide.  With fewer than
+    3 well-conditioned samples it is 0.0 if e tests zero, else unknown."""
     rf = e._rf
     if rf is not None and rf.is_const():
         return float(rf.const_value())
     n = min(config.samples, 9)
     vals = values_on_samples(e, config, n=n)
     if len(vals) < 3:
+        if is_zero(e, config).is_zero:
+            return 0.0
         raise InconclusiveError(f"expected a constant, only {len(vals)} "
                                 f"of {n} samples well-conditioned")
     vals.sort()

@@ -442,19 +442,15 @@ def _row_w0(eps: int, vals: dict):
     """The W = 0 table row that epsilon_2 and I5..I8 point to, as (row,
     mu, representative, evidence), or the reason there is none."""
     i7, i8 = vals["I7"], vals["I8"]
-    row = mu = rep = None
+    row = mu = None
     if eps != 0 and abs(i7 - CBRT6_OVER_3) <= 1e-7:
         row = "XI" if eps == 1 else "XII"
     elif eps == 0:
         # degenerate discriminant: the mu = 1 members of rows VIII / X
-        y, p, q = var("y"), var("p"), var("q")
         if abs(i8 - 1) <= 1e-7:
             row, mu = "VIII", 1.0
-            rep = Ode3(pow_(2 * q * y - p * p, F3(3, 2)) / (y * y))
         elif abs(i8 + 1) <= 1e-7:
             row, mu = "X", 1.0
-            rep = Ode3(pow_(q * q / (p * p) + p * p, F3(3, 2))
-                       + 3 * q * q / p + p ** 3)
     else:
         denom = 9 * i7 ** 3 - 2
         mu = math.sqrt(abs(9 * i7 ** 3 / denom)) if abs(denom) > 1e-12 \
@@ -470,7 +466,7 @@ def _row_w0(eps: int, vals: dict):
                 row = "X"
     if row is None:
         return "W=0 invariants off every table row"
-    return (row, mu, rep or w0_rep(row, mu),
+    return (row, mu, w0_rep(row, mu),
             [f"eps2={eps}", f"I7={i7:.9g}", f"I8={i8:.9g}"])
 
 

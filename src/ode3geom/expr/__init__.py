@@ -3,7 +3,7 @@ from .nodes import (Expr, P, Q, X, Y, abs_, add, atan, eval_tree_dual, exp,
                     from_rf, fun, log, mul, neg, normalize, num, partial,
                     partial_tree, pow_, rf_to_tree, sgn, sqrt, to_str, var)
 from .parser import ParseError, parse
-from .poly import DomainError, SingularPointError
+from .poly import JET_VARS, KERNEL_NAMES, DomainError, SingularPointError
 from .zerotest import (DEFAULT_CONFIG, JetPoint, PartialDraws,
                        SignConsistencyError, ZeroConfig, ZeroVerdict, eval_at,
                        eval_with_bound, is_zero, partial_is_zero,
@@ -18,4 +18,5 @@ __all__ = [
     "sign_on_domain", "eval_at", "eval_with_bound", "partial_is_zero",
     "PartialDraws", "values_on_samples", "sample_points",
     "DomainError", "SingularPointError", "SignConsistencyError",
+    "JET_VARS", "KERNEL_NAMES",
 ]

@@ -22,8 +22,6 @@ MUL = "mul"
 POW = "pow"
 FUN = "fun"
 
-JET_VARS = ("x", "y", "p", "q")
-
 
 class Expr:
     """An immutable symbolic expression."""
@@ -131,9 +129,9 @@ class Expr:
         return f"Expr({to_str(self)})"
 
     def free_vars(self) -> set:
-        out = set()
-        _collect_vars(self.rf, out)
-        return out
+        atoms = _p._atom_payload
+        return {atoms[aid][1] for aid in _p.rf_atoms(self.rf)
+                if atoms[aid][0] == _p.VAR}
 
     def subs(self, mapping: dict) -> "Expr":
         """Substitute expressions for variables (by name)."""
@@ -416,7 +414,6 @@ def eval_tree_dual(e: Expr, vs: tuple, env: dict, cache: dict,
     rf-backed leaves evaluate through the polynomial layer, once per cache
     however often the tree holds them; tree nodes combine dual numbers, so
     large invariant expressions never have to be expanded symbolically."""
-    import math
     k = e.kind
     if k is None:
         # keyed by identity: equal RFs may hold their terms in another
@@ -482,57 +479,12 @@ def eval_tree_dual(e: Expr, vs: tuple, env: dict, cache: dict,
         return val, dval, abs(val), dmass
     if k == FUN:
         a, b, _m, _dm = eval_tree_dual(e.args[0], vs, env, cache, margin)
-        fn = e.data
-        if fn == "exp":
-            if a > 700:
-                raise DomainError("exp overflow")
-            val = math.exp(a)
-            dv = [val * d for d in b]
-            return val, dv, val, [abs(d) for d in dv]
-        if fn == "log":
-            if a <= 0:
-                raise DomainError("log of non-positive value")
-            dv = [d / a for d in b]
-            return math.log(a), dv, abs(math.log(a)), [abs(d) for d in dv]
-        if fn == "atan":
-            val = math.atan(a)
-            dv = [d / (1.0 + a * a) for d in b]
-            return val, dv, abs(val), [abs(d) for d in dv]
-        if fn == "abs":
-            s = math.copysign(1.0, a) if a != 0 else 0.0
-            return abs(a), [s * d for d in b], abs(a), [abs(d) for d in b]
-        s = 0.0 if a == 0 else math.copysign(1.0, a)
-        zero = [0.0] * n
-        return s, zero, 1.0, zero
+        val, dv = _p.kernel_dual(e.data, a, b)
+        if e.data == "sgn":
+            return val, dv, 1.0, dv
+        dm = b if e.data == "abs" else dv
+        return val, dv, abs(val), [abs(d) for d in dm]
     raise AssertionError(k)
-
-
-def _collect_vars(rf: RF, out: set) -> None:
-    seen = set()
-
-    def walk_poly(p):
-        for m in p:
-            for aid, _ in m:
-                walk_atom(aid)
-
-    def walk_atom(aid):
-        if aid in seen:
-            return
-        seen.add(aid)
-        kind, payload = _p._atom_payload[aid]
-        if kind == _p.VAR:
-            out.add(payload)
-        elif kind == _p.KERN:
-            walk_rf(payload[1])
-        elif kind == _p.PBASE:
-            walk_poly(payload)
-
-    def walk_rf(r):
-        walk_poly(r.num)
-        for _k, f, _e in r.den:
-            walk_poly(f)
-
-    walk_rf(rf)
 
 
 # -------------------------------------------------------------- substitution

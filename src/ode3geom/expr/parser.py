@@ -15,9 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .nodes import Expr, add, fun, mul, neg, num, pow_, var
-
-FUNCS = ("exp", "log", "atan", "sqrt", "abs", "sgn")
-IDENTS = ("x", "y", "p", "q")
+from .poly import JET_VARS, KERNEL_NAMES
 
 
 class ParseError(ValueError):
@@ -128,12 +126,12 @@ def _base(sc: _Scanner) -> Expr:
     if ch.isalpha():
         start = sc.pos
         name = sc.ident()
-        if name in FUNCS:
+        if name in KERNEL_NAMES or name == "sqrt":
             sc.expect("(")
             arg = _expr(sc)
             sc.expect(")")
             return fun(name, arg)
-        if name in IDENTS:
+        if name in JET_VARS:
             return var(name)
         raise ParseError(f"unknown identifier {name!r}", start)
     raise ParseError(f"unexpected character {ch!r}", sc.pos)

@@ -39,6 +39,7 @@ KERN = "kern"
 PBASE = "pbase"
 PRIME = "prime"
 
+JET_VARS = ("x", "y", "p", "q")
 KERNEL_NAMES = ("exp", "log", "atan", "abs", "sgn")
 
 
@@ -658,14 +659,6 @@ class RF:
 
     __slots__ = ("c", "num", "den", "_key", "_hash", "_made")
 
-    def __init__(self, c: Fraction, num: dict, den: tuple):
-        self.c = c
-        self.num = num
-        self.den = den
-        self._key = None
-        self._hash = None
-        self._made = False
-
     @staticmethod
     def _raw(c: Fraction, num: dict, den: tuple) -> "RF":
         out = RF.__new__(RF)
@@ -1067,14 +1060,8 @@ def _atom_positive(aid: int, e: Coeff) -> bool:
 
 
 def _abs_atom_pow(aid: int, e: Coeff) -> RF:
-    kind, payload = _atom_payload[aid]
-    if kind == KERN and payload[0] == "sgn":
-        return RF_ONE
-    if _atom_positive(aid, e):
-        return rf_atom(aid, e)
-    if kind == PBASE:
-        return rf_atom(kern_atom("abs", RF._raw(Fraction(1), payload, ())), e)
-    return rf_atom(kern_atom("abs", _unit_rf(aid)), e)
+    entry = _abs_entry(aid, e)
+    return RF_ONE if entry is None else rf_atom(*entry)
 
 
 def _sgn_atom_pow(aid: int, e: Coeff) -> RF:
@@ -1088,8 +1075,8 @@ def _sgn_atom_pow(aid: int, e: Coeff) -> RF:
     return rf_atom(kern_atom("sgn", _unit_rf(aid)))
 
 
-def _abs_den_entry(aid: int, e: Coeff) -> tuple:
-    """(atom, exponent) for |atom^e| in a denominator; None drops it."""
+def _abs_entry(aid: int, e: Coeff) -> tuple:
+    """(atom, exponent) for |atom^e|; None when it is 1."""
     kind, payload = _atom_payload[aid]
     if kind == KERN and payload[0] == "sgn":
         return None
@@ -1120,7 +1107,7 @@ def _abs_rf(arg: RF) -> RF:
         if len(f) == 1:
             (fm, _fc), = f.items()
             for aid, ee in fm:
-                entry = _abs_den_entry(aid, _exp_norm(ee * e))
+                entry = _abs_entry(aid, _exp_norm(ee * e))
                 if entry is not None:
                     fp = {((entry[0], _exp_norm(entry[1])),): 1}
                     den_extra.append((poly_key(fp), fp, 1))
@@ -1334,24 +1321,30 @@ def eval_atom_d(aid: int, vs: tuple, env: dict, cache: dict,
     else:
         fn, arg = payload
         u, du, _m, _dm = eval_rf_dual(arg, vs, env, cache, margin)
-        if fn == "exp":
-            if u > 700:
-                raise DomainError("exp overflow")
-            val = math.exp(u)
-            out = (val, _nonzero([val * d for d in du]))
-        elif fn == "log":
-            if u <= 0:
-                raise DomainError("log of non-positive value")
-            out = (math.log(u), _nonzero([d / u for d in du]))
-        elif fn == "atan":
-            out = (math.atan(u), _nonzero([d / (1.0 + u * u) for d in du]))
-        elif fn == "abs":
-            s = math.copysign(1.0, u)
-            out = (abs(u), _nonzero([s * d if u != 0 else 0.0 for d in du]))
-        else:
-            out = (0.0 if u == 0 else math.copysign(1.0, u), ())
+        val, dval = kernel_dual(fn, u, du)
+        out = (val, _nonzero(dval))
     cache[aid] = out
     return out
+
+
+def kernel_dual(fn: str, u: float, du: list) -> tuple:
+    """(value, derivatives) of the kernel fn at u, given the derivatives du
+    of u: the kernel rules of both dual evaluators."""
+    if fn == "exp":
+        if u > 700:
+            raise DomainError("exp overflow")
+        val = math.exp(u)
+        return val, [val * d for d in du]
+    if fn == "log":
+        if u <= 0:
+            raise DomainError("log of non-positive value")
+        return math.log(u), [d / u for d in du]
+    if fn == "atan":
+        return math.atan(u), [d / (1.0 + u * u) for d in du]
+    s = math.copysign(1.0, u) if u != 0 else 0.0
+    if fn == "abs":
+        return abs(u), [s * d for d in du]
+    return s, [0.0] * len(du)
 
 
 def _nonzero(ds: list) -> list:
@@ -1452,33 +1445,31 @@ def eval_rf_residual(rf: RF, env: dict, cache: dict, margin: float) -> float:
     return abs(nv) / (1.0 + nmass)
 
 
+def rf_atoms(rf: RF):
+    """Each atom reachable from rf, once: its monomials' atoms and, inside
+    them, the atoms of kernel arguments and fractional-power bases."""
+    seen: set = set()
+    polys = [rf.num, *(f for _k, f, _e in rf.den)]
+    while polys:
+        for m in polys.pop():
+            for aid, _e in m:
+                if aid in seen:
+                    continue
+                seen.add(aid)
+                yield aid
+                kind, payload = _atom_payload[aid]
+                if kind == KERN:
+                    arg = payload[1]
+                    polys += [arg.num, *(f for _k, f, _e in arg.den)]
+                elif kind == PBASE:
+                    polys.append(payload)
+
+
 def rf_signed_atoms(rf: RF) -> set:
     """Arguments of abs/sgn kernels occurring anywhere inside rf."""
-    seen: set = set()
-    out: set = set()
-
-    def walk_poly(p):
-        for m in p:
-            for aid, _ in m:
-                walk_atom(aid)
-
-    def walk_atom(aid):
-        if aid in seen:
-            return
-        seen.add(aid)
+    out = set()
+    for aid in rf_atoms(rf):
         kind, payload = _atom_payload[aid]
-        if kind == KERN:
-            fn, arg = payload
-            if fn in ("abs", "sgn"):
-                out.add(arg)
-            walk_rf(arg)
-        elif kind == PBASE:
-            walk_poly(payload)
-
-    def walk_rf(r):
-        walk_poly(r.num)
-        for _k, f, _e in r.den:
-            walk_poly(f)
-
-    walk_rf(rf)
+        if kind == KERN and payload[0] in ("abs", "sgn"):
+            out.add(payload[1])
     return out

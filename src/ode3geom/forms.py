@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, from_rf, is_zero,
-                   normalize, num, partial, pow_)
+from .expr import (DEFAULT_CONFIG, JET_VARS, Expr, ZeroConfig, from_rf,
+                   is_zero, normalize, num, partial, pow_)
 from .expr.nodes import MUL, RF, RF_ONE
 
-COORDS = ("x", "y", "p", "q")
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 PAIR_INDEX = {pq: i for i, pq in enumerate(PAIRS)}
 
@@ -103,7 +102,8 @@ def d(omega) -> TwoForm:
     comps = omega.components()
     out = []
     for a, b in PAIRS:
-        out.append(partial(comps[b], COORDS[a]) - partial(comps[a], COORDS[b]))
+        out.append(partial(comps[b], JET_VARS[a])
+                   - partial(comps[a], JET_VARS[b]))
     return TwoForm(tuple(out))
 
 

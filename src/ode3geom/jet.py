@@ -7,8 +7,8 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from typing import Sequence, Union
 
-from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, is_zero, normalize,
-                   parse, partial, var)
+from .expr import (DEFAULT_CONFIG, JET_VARS, Expr, ZeroConfig, is_zero,
+                   normalize, parse, partial, var)
 
 F3 = Fraction
 
@@ -45,17 +45,16 @@ class Ode3:
     """A validated right-hand side F."""
 
     F: Expr
-    provenance: str = ""
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
-    def from_text(cls, text: str, provenance: str = "") -> "Ode3":
-        return cls(parse(text), provenance=provenance or text)
+    def from_text(cls, text: str) -> "Ode3":
+        return cls(parse(text))
 
     def __post_init__(self):
         if not isinstance(self.F, Expr):
             self.F = parse(str(self.F))
-        bad = self.F.free_vars() - {"x", "y", "p", "q"}
+        bad = self.F.free_vars() - set(JET_VARS)
         if bad:
             raise ValueError(f"F contains non-jet variables: {sorted(bad)}")
 

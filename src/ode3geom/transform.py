@@ -108,9 +108,7 @@ def pullback_ode(target: Union[Ode3, Expr], t: Transform,
     out = normalize((rhs - a0) / lead)
     if "Y3" in out.free_vars():
         raise DegenerateTransformError("pullback failed to eliminate y'''")
-    prov = f"pullback of {target.provenance}" if isinstance(target, Ode3) \
-        else "pullback"
-    return Ode3(out, provenance=prov)
+    return Ode3(out)
 
 
 # ---------------------------------------------------------------- batteries

@@ -362,17 +362,30 @@ class TestBatchAndReport:
         s = flat_signature(odes[0])
         assert sum(e is s for e in tested) == 2
 
-    def test_too_few_samples_name_their_count(self, capsys):
-        # I6 has one well-conditioned sample on this box: the reason gives
-        # the count, not a spread over a single value
+    def test_too_few_samples_of_a_zero_invariant(self, capsys):
+        # I6 has one well-conditioned sample on this box, but it tests
+        # zero: the constant is 0 and the row is found
         code, out = run_cli(
             ["classify", "--group", "contact", "--json",
              "--ode", "(2*q*(y+5) - p^2)^(3/2)/(y+5)^2",
              "--box", "x:-1:1,y:-4.2:-4.0,p:0.5:0.7,q:1.2:2.0"], capsys)
-        assert code == 2
+        assert code == 0
         contact = json.loads(out)["contact"]
-        assert contact["inconclusive"] is True
-        assert contact["diagnostics"]["reason"] == \
+        assert contact["row"] == "VIII"
+        assert contact["inconclusive"] is False
+        assert contact["parameters"]["mu"]["value"] == "1"
+        assert contact["diagnostics"]["tuple_verified"] is True
+
+    def test_too_few_samples_name_their_count(self, monkeypatch):
+        # a nonzero invariant with one well-conditioned sample: the reason
+        # gives the count, not a spread over a single value
+        from ode3geom import classify
+        from ode3geom.expr import X
+        monkeypatch.setattr(classify, "values_on_samples",
+                            lambda e, config, n: [1.5])
+        with pytest.raises(classify.InconclusiveError) as exc:
+            classify.const_value(X + 1)
+        assert str(exc.value) == \
             "expected a constant, only 1 of 9 samples well-conditioned"
 
     def test_console_script(self):

@@ -776,3 +776,55 @@ class TestGradient:
                 assert eval_tree_dual(tree, (), env, {}, 1e-12) \
                     == (val, [], mass, [])
                 assert eval_at(tree, env) == val
+
+
+class TestKernelRules:
+    """poly.kernel_dual, the one table of kernel rules, and the atom walk."""
+
+    DU = [0.5, -2.0, 0.0, 3.0]              # du over x, y, p, q
+
+    @staticmethod
+    def _sign(t):
+        return math.copysign(1.0, t) if t else 0.0
+
+    @pytest.mark.parametrize("u", [-1.5, 0.0, 0.7])
+    @pytest.mark.parametrize("fn", poly.KERNEL_NAMES)
+    def test_value_and_chain_rule(self, fn, u):
+        if fn == "log" and u <= 0:
+            with pytest.raises(DomainError):
+                poly.kernel_dual(fn, u, self.DU)
+            return
+        f, df = {"exp": (math.exp, math.exp),
+                 "log": (math.log, lambda t: 1.0 / t),
+                 "atan": (math.atan, lambda t: 1.0 / (1.0 + t * t)),
+                 "abs": (abs, self._sign),
+                 "sgn": (self._sign, lambda t: 0.0)}[fn]
+        val, dval = poly.kernel_dual(fn, u, self.DU)
+        assert val == f(u)
+        assert dval == pytest.approx([df(u) * d for d in self.DU],
+                                     rel=1e-15)
+
+    def test_exp_overflow(self):
+        assert poly.kernel_dual("exp", 700.0, self.DU)[0] == math.exp(700.0)
+        with pytest.raises(DomainError):
+            poly.kernel_dual("exp", 700.5, self.DU)
+
+    @pytest.mark.parametrize("fn", ["abs", "sgn"])
+    def test_abs_and_sgn_at_zero_have_zero_derivatives(self, fn):
+        assert poly.kernel_dual(fn, 0.0, self.DU)[1] == [0.0] * 4
+        env = {"x": 0.3, "y": 1.2, "p": 0.8, "q": 0.8}
+        e = parse(f"{fn}(q - p) + x")
+        for tree in (e, normalize(e)):
+            val, dval, _m, _dm = eval_tree_dual(tree, JET, env, {}, 0.0)
+            assert val == 0.3
+            assert dval == [1.0, 0.0, 0.0, 0.0]
+
+    def test_atom_walk_reaches_nested_atoms(self):
+        e = parse("exp(abs(x - y))^(1/3) + (p^2 + sgn(q - x))^(1/2)")
+        assert e.free_vars() == {"x", "y", "p", "q"}
+        assert parse("exp(abs(x - y))^(1/3)").free_vars() == {"x", "y"}
+        # abs(x - y) is kept as abs(y - x)
+        assert poly.rf_signed_atoms(e.rf) == \
+            {parse("y - x").rf, parse("q - x").rf}
+        atoms = list(poly.rf_atoms(e.rf))
+        assert len(atoms) == len(set(atoms)) == 8
