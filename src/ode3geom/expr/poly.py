@@ -431,9 +431,16 @@ def poly_div_exact(a: dict, b: dict) -> Optional[dict]:
     which the first step tests, and trail(a) = trail(q)*trail(b), tested
     before the heap is built.  When a has integer coefficients and b is a
     primitive integer polynomial, Gauss's lemma puts q in Z[...] too, so
-    tc(b) must divide tc(a) and the first fractional quotient coefficient
-    (lc(a)/lc(b) at the first step) ends the division.
+    b's value at any integer point divides a's there (_image_rejects, run
+    before anything is packed), tc(b) must divide tc(a), and the first
+    fractional quotient coefficient (lc(a)/lc(b) at the first step) ends
+    the division.
     """
+    ints = (all(type(c) is int for c in a.values())
+            and all(type(c) is int for c in b.values())
+            and math.gcd(*b.values()) == 1)
+    if ints and _image_rejects(a, b):
+        return None
     # A step's new remainder terms lie within the span of b's exponents
     # (at most twice the operands' largest) of its lead, and its quotient
     # term is that lead over lead(b); so over at most _DIV_GUARD steps no
@@ -447,9 +454,6 @@ def poly_div_exact(a: dict, b: dict) -> Optional[dict]:
     trail_a = min(rem)
     if ((trail_a | high) - trail_b) & high != high:
         return None
-    ints = (all(type(c) is int for c in a.values())
-            and all(type(c) is int for c in b.values())
-            and math.gcd(*b.values()) == 1)
     if ints and rem[trail_a] % pb[trail_b]:
         return None
     steps = [(x - lead_b, c) for x, c in pb.items()]
@@ -482,6 +486,25 @@ def poly_div_exact(a: dict, b: dict) -> Optional[dict]:
             elif cur is not None:
                 del rem[mm]
     return None if rem else {unpack(x): c for x, c in quo.items()}
+
+
+def _image_rejects(a: dict, b: dict) -> bool:
+    """True only if b does not divide a, for int-coefficient a and
+    primitive int-coefficient b.  a = q*b puts q in Z[atoms] (Gauss's
+    lemma), so b's value at an integer point divides a's there.  The points
+    are every atom at 1 (the coefficient sums, valid for any exponents) and,
+    when every exponent is a nonnegative int, atom id i at 2**20 + i.  A
+    point where b is 0 tells nothing."""
+    sb = sum(b.values())
+    if sb and sum(a.values()) % sb:
+        return True
+    ents = set().union(*a, *b)
+    if any(type(e) is not int or e < 0 for _aid, e in ents):
+        return False
+    power = {ent: ((1 << 20) + ent[0]) ** ent[1] for ent in ents}.__getitem__
+    vb = sum(c * math.prod(map(power, m)) for m, c in b.items())
+    return vb != 0 and sum(c * math.prod(map(power, m))
+                           for m, c in a.items()) % vb != 0
 
 
 def _frac_c(a: Coeff, b: Coeff) -> Coeff:

@@ -1,5 +1,17 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the run."""
+"""Prints one PASS/FAIL line per acceptance criterion after the run, and
+registers the hypothesis profile "ci": HYPOTHESIS_PROFILE=ci draws the same
+examples on every run and keeps no example database."""
+import os
 import re
+
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    settings.register_profile("ci", derandomize=True, database=None)
+    if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+        settings.load_profile("ci")
 
 _ACCEPTANCE: dict = {}
 

@@ -432,6 +432,10 @@ class TestExactDivision:
         # Gauss: tc(b) = 2 does not divide tc(a) = 3
         (_poly((2, {"q": 2}), (3, {})),
          _poly((1, {"q": 1}), (2, {}))),
+        # integer image: the coefficient sums 6 and 3 pass, but at
+        # q = 2**20 + id b's value does not divide a's
+        (_poly((2, {"q": 3}), (2, {"q": 2}), (1, {"q": 1}), (1, {})),
+         _poly((2, {"q": 1}), (1, {}))),
     ])
     def test_misses_rejected_without_reducing(self, monkeypatch, a, b):
         # a second step would raise: the miss is found before any reduction
@@ -441,7 +445,10 @@ class TestExactDivision:
     def test_fractional_quotient_coefficient_ends_division(self,
                                                           monkeypatch):
         # (2q^3 + 2q^2 + q + 1) / (2q + 1): the second quotient coefficient
-        # would be 1/2, impossible for a primitive integer divisor
+        # would be 1/2, impossible for a primitive integer divisor.  The
+        # integer image rejects this input before any reduction step, so it
+        # is switched off to keep the in-loop test covered.
+        monkeypatch.setattr(poly, "_image_rejects", lambda a, b: False)
         a = _poly((2, {"q": 3}), (2, {"q": 2}), (1, {"q": 1}), (1, {}))
         b = _poly((2, {"q": 1}), (1, {}))
         monkeypatch.setattr(poly, "_DIV_GUARD", 2)
@@ -514,6 +521,101 @@ class TestExactDivision:
         rf = poly._make(Fraction(1), num, _den((f, 1), (g, 1)))
         assert rf.den == ()
         assert rf.num == _poly((1, {v: 2}), (1, {v: 1}), (1, {}))
+
+
+def _screen(monkeypatch):
+    """The values poly._image_rejects returns for the rest of the test."""
+    seen = []
+    real = poly._image_rejects
+
+    def spy(a, b):
+        seen.append(real(a, b))
+        return seen[-1]
+    monkeypatch.setattr(poly, "_image_rejects", spy)
+    return seen
+
+
+# the integer point's value of the atom x
+_X_AT_POINT = 2 ** 20 + poly.var_atom("x")
+
+
+class TestImageRejects:
+    """A trial division is rejected by integer images before packing."""
+
+    def test_caught_miss_packs_nothing(self, monkeypatch):
+        # (q^2 + 1)/(q - 2): the coefficient sums 2 and -1 pass, but at
+        # q = N = 2**20 + id, N^2 + 1 leaves 5 modulo N - 2
+        packs = _count_calls(monkeypatch, "_pack_plan")
+        seen = _screen(monkeypatch)
+        a = _poly((1, {"q": 2}), (1, {}))
+        b = _poly((1, {"q": 1}), (-2, {}))
+        assert poly.poly_div_exact(a, b) is None
+        assert seen == [True] and packs == []
+
+    @pytest.mark.parametrize("q, b, r, screened", [
+        # Fraction coefficients: not an integer division, not screened
+        (_poly((HALF, {"q": 1}), (1, {})), _poly((1, {"q": 1}), (1, {})),
+         _poly((Fraction(1, 3), {})), False),
+        # a fractional exponent: sums only, and b's sum is -1
+        (_poly((1, {"q": HALF}), (1, {})),
+         _poly((1, {"q": HALF}), (-2, {})), _poly((3, {})), True),
+        # a negative exponent: sums only (3 divides 6 and 9)
+        (_poly((1, {"q": 1}), (1, {})), _poly((1, {"q": -1}), (2, {})),
+         _poly((3, {"q": 1})), True),
+        # b not primitive: not screened
+        (_poly((1, {"q": 1}), (3, {})), _poly((2, {"q": 1}), (2, {})),
+         _poly((1, {})), False),
+        # b is 0 at the integer point, and r is b's coefficient sum
+        (_poly((1, {"x": 1})), _poly((1, {"x": 1}), (-_X_AT_POINT, {})),
+         _poly((1 - _X_AT_POINT, {})), True),
+    ], ids=["fraction-coeffs", "root", "negative", "not-primitive",
+            "zero-image"])
+    def test_skips_leave_the_division_to_the_reduction(
+            self, monkeypatch, q, b, r, screened):
+        hit = {m: poly._frac_c(c, 1) for m, c in poly.poly_mul(q, b).items()}
+        miss = poly.poly_add(hit, r)
+        packs = _count_calls(monkeypatch, "_pack_plan")
+        seen = _screen(monkeypatch)
+        assert poly.poly_div_exact(hit, b) == q
+        assert poly.poly_div_exact(miss, b) is None
+        assert seen == ([False, False] if screened else [])
+        assert len(packs) == 2
+
+    def test_replayed_benchmark_divisions_are_unchanged(self, monkeypatch):
+        # every trial division of the benchmark's chazy-fp item chazy:II#0
+        # at seed 1, replayed with the image test and without it
+        import argparse
+        from dataclasses import replace
+
+        from ode3geom import cli, transform
+        from ode3geom.chazy import chazy_class
+        cfg = replace(DEFAULT_CONFIG, seed=1, box=cli.parse_box(
+            "x:-1:1,y:0.5:1.5,p:0.5:2,q:0.5:2"))
+        args = argparse.Namespace(transform=True, base="0,1,0,0", c1=1.0,
+                                  c2=0.0)
+        t = transform.random_fp_transforms(13, 8)[0]
+        divide = poly.poly_div_exact
+        calls = _count_calls(monkeypatch, "poly_div_exact")
+        pb = transform.pullback_ode(chazy_class("II").canonical_ode(), t, cfg)
+        cli.report_chazy(pb, cfg, args)
+
+        def replay():
+            out = []
+            for a, b in list(calls):
+                try:
+                    q = divide(a, b)
+                except poly._DivisionUndecided:
+                    q = "undecided"
+                out.append(q if q is None or isinstance(q, str) else
+                           [(m, type(c), c) for m, c in q.items()])
+            return out
+        seen = _screen(monkeypatch)
+        screened = replay()
+        monkeypatch.setattr(poly, "_image_rejects", lambda a, b: False)
+        assert replay() == screened
+        misses = screened.count(None)
+        assert len(calls) > 100 and misses > 50
+        assert sum(seen) >= 0.9 * misses
 
 
 def _terms(rf):

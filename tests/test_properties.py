@@ -2,13 +2,15 @@
 
 _make must be a fixed point of its own output, and a rational constant
 times such an output (which skips _make) must equal what _make builds from
-the product.  Needs hypothesis; skipped without it."""
+the product.  The integer-image test of exact division never rejects a
+divisor.  Needs hypothesis; skipped without it."""
 from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 from ode3geom.expr import poly  # noqa: E402
 
@@ -53,3 +55,33 @@ def test_make_is_a_fixed_point_of_its_output(a, b, c, d, k):
         want = _terms(poly._make(k * x.c, x.num, x.den))
         assert _terms(poly.rf_const(k) * x) == want
         assert _terms(x * poly.rf_const(k)) == want
+
+
+# integer polynomials over the jet variables and one kernel atom, with
+# nonnegative int exponents: both integer points of _image_rejects apply
+INT_TERM = st.tuples(st.integers(-4, 4).filter(bool),
+                     st.lists(st.sampled_from([0, 0, 1, 2, 3]),
+                              min_size=len(NAMES) + 1,
+                              max_size=len(NAMES) + 1))
+INT_POLY = st.lists(INT_TERM, min_size=1, max_size=4)
+
+
+def _int_poly(terms, atoms) -> dict:
+    out: dict = {}
+    for c, exps in terms:
+        m = poly.mono_from((aid, e) for aid, e in zip(atoms, exps) if e)
+        out = poly.poly_add(out, {m: c})
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(INT_POLY, INT_POLY)
+def test_image_never_rejects_a_divisor(q_terms, b_terms):
+    atoms = [poly.var_atom(v) for v in NAMES] \
+        + [poly.kern_atom("exp", _rf([(1, {"q": 1})]))]
+    q, b = _int_poly(q_terms, atoms), _int_poly(b_terms, atoms)
+    assume(q and b)
+    _c, b = poly.poly_primitive(b)
+    a = poly.poly_mul(q, b)
+    assert not poly._image_rejects(a, b)
+    assert poly.poly_div_exact(a, b) == q
