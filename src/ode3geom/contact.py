@@ -15,8 +15,8 @@ from .classify import (ClassificationResult, InconclusiveError, const_value,
 from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, abs_, atan, exp, is_zero,
                    normalize, num, pow_, sign_on_domain, var)
 from .forms import Coframe, OneForm, d, decompose, decompose_many
-from .jet import (Ode3, WunschmannZeroError, jet_invariants, klmw, pd, pdl,
-                  per_ode, total_derivative_tree)
+from .jet import (Ode3, WunschmannZeroError, jet_invariants, klmw, pd,
+                  per_ode, total_derivative)
 
 TRIVIAL_FLAT = "trivial-flat"
 W0_FQQQQ = "W0-Fqqqq"
@@ -70,10 +70,9 @@ class ContactInvariants5d:
 
 @per_ode
 def _z_data(ode: Ode3) -> tuple:
-    """(Z, DZ) for the W != 0 reductions as unexpanded trees."""
-    W = klmw(ode).W
-    Z = total_derivative_tree(W, ode) / W - pdl(ode.F, "q")
-    return Z, total_derivative_tree(Z, ode)
+    """(Z, DZ) for the W != 0 reductions: klmw's Z and its D."""
+    Z = klmw(ode).Z
+    return Z, total_derivative(Z, ode)
 
 
 @per_ode
@@ -94,8 +93,8 @@ def omega_section(ode: Ode3) -> OneForm:
     Wq, Wp = pd(W, "q"), pd(W, "p")
     w1, w2, w3, w4 = _plain_omegas(ode)
     c1 = normalize((Wq * DZ / 9 - Wq * Z * Z / 27 + Wp * Z / 9) / W
-                   - pdl(Z, "p") / 3 - Fq * pdl(Z, "q") / 9)
-    c2 = normalize(Wp / (3 * W) - pdl(Z, "q") / 3)
+                   - pd(Z, "p") / 3 - Fq * pd(Z, "q") / 9)
+    c2 = normalize(Wp / (3 * W) - pd(Z, "q") / 3)
     c3 = normalize(Wq / (3 * W))
     c4 = normalize(Fq / 3)
     return (c1 * w1 + c2 * w2 + c3 * w3 + c4 * w4).normalized()
@@ -125,8 +124,8 @@ def bas_b(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> Expr:
 @per_ode
 def bas_e(ode: Ode3) -> Expr:
     F = ode.F
-    W = klmw(ode).W
-    Z, _DZ = _z_data(ode)
+    inv = klmw(ode)
+    W, Z = inv.W, inv.Z
     Wq = pd(W, "q")
     return pd(F, "q", "q") / 3 \
         + (F3(2, 9) * Wq * Z - F3(2, 3) * pd(W, "p")
@@ -141,8 +140,8 @@ def bas_h(ode: Ode3) -> Expr:
     Wq = pd(W, "q")
     return ((Wq * Z * Z / 9 - pd(W, "p") * Z / 3 + pd(W, "y")
              - Wq * DZ / 3) / W
-            + total_derivative_tree(pdl(Z, "q"), ode)
-            + pd(F, "q") * pdl(Z, "q") / 3) \
+            + total_derivative(pd(Z, "q"), ode)
+            + pd(F, "q") * pd(Z, "q") / 3) \
         / (3 * pow_(W, F3(1, 3)))
 
 

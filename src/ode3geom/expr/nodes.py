@@ -346,57 +346,6 @@ def partial(e: Expr, v: str) -> Expr:
     return from_rf(_p.drf(e.rf, _p.var_atom(v)))
 
 
-def partial_tree(e: Expr, v: str) -> Expr:
-    """Partial derivative as an unexpanded Leibniz tree.
-
-    Equal to partial() after normalisation, but never combines the result
-    over a common denominator; canonical-form leaves differentiate through
-    the polynomial layer."""
-    k = e.kind
-    if k is None:
-        return from_rf(_p.drf(e.rf, _p.var_atom(v)))
-    if k == NUM:
-        return ZERO_E
-    if k == VARK:
-        return ONE_E if e.data == v else ZERO_E
-    if k == ADD:
-        parts = [partial_tree(t, v) for t in e.args]
-        parts = [t for t in parts if t is not ZERO_E]
-        if not parts:
-            return ZERO_E
-        return parts[0] if len(parts) == 1 else add(*parts)
-    if k == MUL:
-        terms = []
-        for i, f in enumerate(e.args):
-            df = partial_tree(f, v)
-            if df is ZERO_E:
-                continue
-            rest = e.args[:i] + e.args[i + 1:]
-            terms.append(mul(df, *rest) if rest else df)
-        if not terms:
-            return ZERO_E
-        return terms[0] if len(terms) == 1 else add(*terms)
-    if k == POW:
-        db = partial_tree(e.args[0], v)
-        if db is ZERO_E:
-            return ZERO_E
-        r = e.data
-        return mul(num(r), pow_(e.args[0], r - 1), db)
-    # FUN
-    du = partial_tree(e.args[0], v)
-    if du is ZERO_E or e.data == "sgn":
-        return ZERO_E
-    u = e.args[0]
-    if e.data == "exp":
-        return mul(e, du)
-    if e.data == "log":
-        return mul(du, pow_(u, Fraction(-1)))
-    if e.data == "atan":
-        return mul(du, pow_(add(ONE_E, mul(u, u)), Fraction(-1)))
-    # abs
-    return mul(fun("sgn", u), du)
-
-
 # ---------------------------------------------------------------- evaluation
 
 
@@ -533,26 +482,6 @@ def _subs_rf(rf: RF, env: dict) -> RF:
 # ------------------------------------------------------------------ printing
 
 
-def _needs_parens_in_product(e: Expr) -> bool:
-    return e.kind == ADD or (e.kind == NUM and e.data < 0)
-
-
-def _wrapped(s: str) -> bool:
-    """Is s one parenthesised group: does its first "(" close at its end?
-    "(-1) + exp(q)" starts with "(" and ends with ")" but is not."""
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if not depth:
-                return i == len(s) - 1
-        elif not depth:
-            return False
-    return False
-
-
 def _frac_str(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
@@ -575,31 +504,25 @@ def to_str(e: Expr) -> str:
         return _frac_str(e.data)
     if k == VARK:
         return e.data
-    if k == ADD:
-        parts = []
-        for i, t in enumerate(e.args):
-            s = to_str(t)
-            if i and s.startswith("(-") and s.endswith(")") and t.kind == NUM:
-                parts.append(" - " + s[2:-1])
-            elif i and s.startswith("-"):
-                parts.append(" - " + s[1:])
-            else:
-                parts.append((" + " if i else "") + s)
-        return "".join(parts)
-    if k == MUL:
-        parts = []
-        for f in e.args:
-            s = to_str(f)
-            if _needs_parens_in_product(f) and not _wrapped(s):
-                s = f"({s})"
-            parts.append(s)
-        return "*".join(parts)
-    if k == POW:
-        b = e.args[0]
-        bs = to_str(b)
-        if b.kind in (ADD, MUL, POW, NUM) and not _wrapped(bs):
-            bs = f"({bs})"
-        return f"{bs}^{_pow_exp_str(e.data)}"
     if k == FUN:
         return f"{e.data}({to_str(e.args[0])})"
+    # parentheses follow the kind of each child, so materialise it first
+    args = [t.materialize() for t in e.args]
+    if k == ADD:
+        parts = []
+        for i, t in enumerate(args):
+            if i and t.kind == NUM and t.data < 0:
+                parts.append(" - " + _frac_str(-t.data))
+            else:
+                parts.append((" + " if i else "") + to_str(t))
+        return "".join(parts)
+    if k == MUL:
+        return "*".join(f"({to_str(f)})" if f.kind == ADD else to_str(f)
+                        for f in args)
+    if k == POW:
+        b = args[0]
+        bs = to_str(b)
+        if b.kind in (ADD, MUL, POW) or (b.kind == NUM and b.data >= 0):
+            bs = f"({bs})"
+        return f"{bs}^{_pow_exp_str(e.data)}"
     raise AssertionError(k)

@@ -22,7 +22,6 @@ DEFAULT_BOX = {"x": (-1.0, 1.0), "y": (-1.0, 1.0),
                "p": (0.5, 2.0), "q": (0.5, 2.0)}
 # A negative power is a pole where |base| <= MARGIN * (1 + its term mass).
 MARGIN = 1e-7
-_TREE_WEIGHT_CAP = 48        # _tree_weight counts no further
 
 
 class SignConsistencyError(ArithmeticError):
@@ -155,14 +154,6 @@ def is_zero(e: Union[Expr, int],
     """
     if isinstance(e, int):
         e = Expr._coerce(e)
-    if e.kind is not None and e._rf is None and _tree_weight(e) > 40:
-        # large unexpanded tree: sample it without lowering
-        def tree_residual(env, cache):
-            val, _dv, mass, _dm = eval_tree_dual(e, (), env, cache, MARGIN)
-            return abs(val) / (1.0 + mass)
-
-        return _verdict(config, _admissible(config, *_signed_parts(e),
-                                            tree_residual))
     rf = e.rf
     if rf.is_zero_poly():
         return ZeroVerdict("zero", reason="symbolic")
@@ -175,17 +166,6 @@ def is_zero(e: Union[Expr, int],
     return _verdict(config, _admissible(
         config, _p.rf_signed_atoms(rf), (),
         lambda env, cache: _p.eval_rf_residual(rf, env, cache, MARGIN)))
-
-
-def _tree_weight(e: Expr) -> int:
-    stack = [e]
-    n = 0
-    while stack and n <= _TREE_WEIGHT_CAP:
-        t = stack.pop()
-        n += 1
-        if t.kind is not None:
-            stack.extend(t.args)
-    return n
 
 
 def sign_on_domain(e: Expr, config: ZeroConfig = DEFAULT_CONFIG) -> int:

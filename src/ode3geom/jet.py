@@ -20,22 +20,6 @@ def pd(e: Expr, *vs: str) -> Expr:
     return e
 
 
-def pdl(e: Expr, *vs: str) -> Expr:
-    """Iterated partial derivative as an unexpanded Leibniz tree."""
-    from .expr import partial_tree
-    for v in vs:
-        e = partial_tree(e, v)
-    return e
-
-
-def total_derivative_tree(e: Expr, ode: "Ode3") -> Expr:
-    """D applied to e, left as an unexpanded tree."""
-    from .expr import partial_tree, var as _var
-    return (partial_tree(e, "x") + _var("p") * partial_tree(e, "y")
-            + _var("q") * partial_tree(e, "p")
-            + ode.F * partial_tree(e, "q"))
-
-
 class WunschmannZeroError(ArithmeticError):
     """Z requested for an ODE with W = 0."""
 

@@ -17,8 +17,7 @@ from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, is_zero, normalize, num,
 from .forms import Coframe
 from .geometry import (c1_flatness_combination, cartan_second_condition,
                        point_b_functions)
-from .jet import (Ode3, jet_invariants, klmw, pd, pdl, per_ode,
-                  total_derivative, total_derivative_tree)
+from .jet import Ode3, jet_invariants, klmw, pd, per_ode, total_derivative
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,10 @@ def point_bas_k(ode: Ode3) -> Expr:
 @per_ode
 def point_bas_e(ode: Ode3) -> Expr:
     F = ode.F
-    W = klmw(ode).W
-    Z, _DZ = _z_data(ode)
+    inv = klmw(ode)
+    W, Z = inv.W, inv.Z
     Wq = pd(W, "q")
-    return (F3(1, 6) * pd(F, "q", "q") - F3(1, 3) * pdl(Z, "q")
+    return (F3(1, 6) * pd(F, "q", "q") - F3(1, 3) * pd(Z, "q")
             + (F3(2, 9) * Wq * Z - F3(2, 3) * pd(W, "p")
                - F3(2, 9) * Wq * pd(F, "q")) / W)
 
@@ -117,11 +116,11 @@ def point_bas_b(ode: Ode3) -> Expr:
     K, W = inv.K, inv.W
     Z, DZ = _z_data(ode)
     Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
-    return ((F3(1, 12) * Fqq + F3(1, 18) * pdl(Z, "q")) * Z * Z
-            + (pd(K, "q") - F3(1, 3) * pdl(Z, "p")
-               - F3(1, 9) * Fq * pdl(Z, "q")
+    return ((F3(1, 12) * Fqq + F3(1, 18) * pd(Z, "q")) * Z * Z
+            + (pd(K, "q") - F3(1, 3) * pd(Z, "p")
+               - F3(1, 9) * Fq * pd(Z, "q")
                + F3(1, 18) * Fqq * Fq) * Z
-            - F3(1, 6) * Fqq * DZ - K * pdl(Z, "q") + pdl(Z, "y")
+            - F3(1, 6) * Fqq * DZ - K * pd(Z, "q") + pd(Z, "y")
             + F3(3, 2) * Fqq * K - 3 * pd(K, "p")
             - pd(K, "q") * Fq - pd(F, "q", "y")) \
         / (3 * pow_(W, F3(2, 3)))
@@ -131,8 +130,7 @@ def point_bas_b(ode: Ode3) -> Expr:
 def point_bas_h(ode: Ode3) -> Expr:
     F = ode.F
     inv = klmw(ode)
-    K, W = inv.K, inv.W
-    Z, _DZ = _z_data(ode)
+    K, W, Z = inv.K, inv.W, inv.Z
     Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
     Wq = pd(W, "q")
     return ((F3(1, 18) * Wq * Z * Z
@@ -151,16 +149,16 @@ def point_reduced_w_nonzero(ode: Ode3) -> dict:
     F = ode.F
     inv = klmw(ode)
     K, W = inv.K, inv.W
-    Z, _DZ = _z_data(ode)
+    Z, DZ = _z_data(ode)
     Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
     Wq = pd(W, "q")
     cbw = pow_(W, F3(1, 3))
     cbw2 = pow_(W, F3(2, 3))
     i1 = -3 * pd(W, "q", "q") * W / (Wq * Wq)
     i2 = (3 * pd(W, "p") + Wq * Fq - Wq * Z
-          - 3 * W * pdl(Z, "q") - 3 * Fqq * W) / (cbw * Wq)
-    i3 = -cbw2 * (2 * pdl(Z, "q") + Fqq) / (2 * Wq)
-    i4 = (Z * Z - 6 * total_derivative_tree(Z, ode) + 18 * K
+          - 3 * W * pd(Z, "q") - 3 * Fqq * W) / (cbw * Wq)
+    i3 = -cbw2 * (2 * pd(Z, "q") + Fqq) / (2 * Wq)
+    i4 = (Z * Z - 6 * DZ + 18 * K
           + 2 * Z * Fq) / (18 * cbw2)
     return {"I1p": i1, "I2p": i2, "I3p": i3, "I4p": i4}
 

@@ -155,8 +155,11 @@ class TestLazyInvariants:
     def built(ode) -> set:
         return {"K", "L", "M", "W", "Z"} & set(vars(klmw(ode)))
 
-    @pytest.mark.parametrize("text", ["exp(q)", "0"])
-    def test_point_classifier_and_w_verdict_build_no_l_or_m(self, text):
+    @pytest.mark.parametrize("text,built", [
+        ("exp(q)", {"K", "W", "Z"}),      # the W != 0 path reads klmw's Z
+        ("0", {"K", "W"})], ids=["exp(q)", "0"])
+    def test_point_classifier_and_w_verdict_build_no_l_or_m(self, text,
+                                                            built):
         # one pullback of criterion 7's battery
         from ode3geom.point import classify_point
         from ode3geom.transform import pullback_ode, random_point_transforms
@@ -164,7 +167,7 @@ class TestLazyInvariants:
         pb = pullback_ode(Ode3.from_text(text), t)
         classify_point(pb, DEFAULT_CONFIG)
         jet_invariants(pb, DEFAULT_CONFIG).w_verdict
-        assert self.built(pb) == {"K", "W"}
+        assert self.built(pb) == built
 
     def test_each_is_built_once_and_unpacking_builds_all(self):
         ode = Ode3.from_text("exp(q)")
