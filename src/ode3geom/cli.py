@@ -80,10 +80,23 @@ def build_config(args, file_opts: dict) -> ZeroConfig:
                    box=box)
 
 
+class UndefinedInputError(ValueError):
+    """F is undefined as built: it divides by a zero expression, or takes
+    an even root of a negative constant or the log of a non-positive one."""
+
+
 def _read_ode(text: str) -> Ode3:
     if text == "-":
         text = sys.stdin.read().strip()
-    return Ode3.from_text(text)
+    try:
+        return Ode3.from_text(text)
+    except (ZeroDivisionError, DomainError) as exc:
+        raise UndefinedInputError(f"F is undefined: {exc}") from exc
+
+
+def _input_error(exc: ValueError) -> str:
+    kind = "parse" if isinstance(exc, ParseError) else "input"
+    return f"{kind} error: {exc}"
 
 
 def report_invariants(ode: Ode3, cfg: ZeroConfig) -> dict:
@@ -198,8 +211,8 @@ def run_report(text: str, cfg: ZeroConfig, group: str = "both",
     code = EXIT_OK
     try:
         ode = _read_ode(text)
-    except ParseError as exc:
-        report["error"] = f"parse error: {exc}"
+    except (ParseError, UndefinedInputError) as exc:
+        report["error"] = _input_error(exc)
         return report, EXIT_PARSE
 
     soft = (InconclusiveError, SignConsistencyError, SingularPointError,
@@ -315,8 +328,8 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return _run_single(args, cfg)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except (ParseError, UndefinedInputError) as exc:
+        print(_input_error(exc), file=sys.stderr)
         return EXIT_PARSE
     except (NotReducibleError, NonWunschmannError, WeylGateError,
             RicciZeroError, ChazyTransformError, SingularPointError,

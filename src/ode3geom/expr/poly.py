@@ -15,21 +15,23 @@ hammer on cheap: differentiation bumps factor multiplicities by one instead
 of squaring denominators, and cancellation is a few exact-division tests
 instead of a multivariate gcd.
 
-The two hot kernels, exact division and the multi-term product, work on
-packed exponent vectors (_pack_plan): each monomial of the two operands
-becomes one int, so a monomial product is one addition and a comparison in
-the division's lex order is one int compare.  The packed form exists only
-inside those two kernels; what they return is keyed by tuple monomials, in
-the same monomial order and term order as before.  Field widths are sized
-from the operands' exponents times 2 for a product and times
-2 * (_DIV_GUARD + 2) for a division, so a field cannot overflow by
-construction and nothing checks for it at run time.
+Exact division and the multi-term product work on packed exponent vectors
+(_pack_plan): each monomial becomes one int, so a monomial product is one
+addition and a comparison in the division's lex order one int compare.
+_make cancels in one pass (_cancel): the numerator's integer images, taken
+once, screen each factor; one plan packs the numerator and every factor,
+and the numerator stays packed across hits.  What comes out is keyed by
+tuple monomials in the same order as pairwise division gives.  Fields hold
+the operands' exponents times 2 for a product and 2 * (_DIV_GUARD + 2) per
+possible hit for a pass, so none can overflow and nothing checks at run
+time.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Union
 
 Coeff = Union[int, Fraction]
@@ -200,12 +202,12 @@ class _FieldEntries(dict):
         return ent
 
 
-def _pack_plan(a: dict, b: dict, room: int) -> tuple:
-    """Packed exponent vectors for the monomials of polynomials a and b
+def _pack_plan(room: int, *polys: dict) -> tuple:
+    """Packed exponent vectors for the monomials of the polynomials
     (Monagan & Pearce, CASC 2007): (pack, unpack, high).
 
-    pack(m), for a monomial m of a or b, is one int with a bit field per
-    atom of their joint universe, the smallest atom id in the most
+    pack(m), for a monomial m of one of them, is one int with a bit field
+    per atom of their joint universe, the smallest atom id in the most
     significant field.  A field holds the exponent times the lcm of that
     atom's exponent denominators, plus a bias of half the field's range,
     under a borrow bit that is 0; high has every borrow bit set.  So the
@@ -213,11 +215,11 @@ def _pack_plan(a: dict, b: dict, room: int) -> tuple:
     x1 + x2 - pack(MONE) is the packed product, and
     ((x1 | high) - x2) & high == high iff no exponent of x1 is below that
     of x2.  A field holds any scaled exponent up to room times the
-    operands' largest in absolute value, so a caller that stays within
+    polynomials' largest in absolute value, so a caller that stays within
     that cannot overflow one.  unpack turns a packed int back into a
     tuple monomial.
     """
-    ents = set().union(*a, *b)
+    ents = set().union(*chain.from_iterable(polys))
     den: dict = {}
     top: dict = {}
     for aid, e in ents:
@@ -319,7 +321,7 @@ def poly_mul(a: dict, b: dict) -> dict:
         return {mono_mul(ma, mb): ca * cb for ma, ca in a.items()}
     if len(a) == 1:
         return {mono_mul(ma, mb): ca * cb for mb, cb in b.items()}
-    pack, unpack, _high = _pack_plan(a, b, 2)
+    pack, unpack, _high = _pack_plan(2, a, b)
     one = pack(MONE)
     pb = [(pack(m) - one, c) for m, c in b.items()]
     out: dict = {}
@@ -419,10 +421,15 @@ class _DivisionUndecided(Exception):
     """poly_div_exact ran past _DIV_GUARD reduction steps without deciding."""
 
 
-def poly_div_exact(a: dict, b: dict) -> Optional[dict]:
+def poly_div_exact(a: dict, b: dict, plan: Optional[tuple] = None
+                   ) -> Optional[dict]:
     """Exact division a/b over the rationals, or None when b does not
-    divide a.  a and b nonzero.  Raises _DivisionUndecided when the reduction runs
-    past _DIV_GUARD steps.
+    divide a.  a and b nonzero.  Raises _DivisionUndecided when the
+    reduction runs past _DIV_GUARD steps.  a, b and the quotient are keyed
+    by tuple monomials, or by packed ints under plan, a _pack_plan whose
+    room covers the division (see _cancel).  A step's new remainder terms
+    lie within the span of b's exponents of its lead, so over _DIV_GUARD
+    steps no field leaves 2 * (_DIV_GUARD + 1) times the operands' largest.
 
     Uses a lexicographic order over the joint atom universe (a genuine
     monomial order), so reduction strictly decreases the lead term.
@@ -431,32 +438,25 @@ def poly_div_exact(a: dict, b: dict) -> Optional[dict]:
     which the first step tests, and trail(a) = trail(q)*trail(b), tested
     before the heap is built.  When a has integer coefficients and b is a
     primitive integer polynomial, Gauss's lemma puts q in Z[...] too, so
-    b's value at any integer point divides a's there (_image_rejects, run
-    before anything is packed), tc(b) must divide tc(a), and the first
-    fractional quotient coefficient (lc(a)/lc(b) at the first step) ends
-    the division.
+    tc(b) must divide tc(a), and the first fractional quotient coefficient
+    (lc(a)/lc(b) at the first step) ends the division.
     """
     ints = (all(type(c) is int for c in a.values())
             and all(type(c) is int for c in b.values())
             and math.gcd(*b.values()) == 1)
-    if ints and _image_rejects(a, b):
-        return None
-    # A step's new remainder terms lie within the span of b's exponents
-    # (at most twice the operands' largest) of its lead, and its quotient
-    # term is that lead over lead(b); so over at most _DIV_GUARD steps no
-    # field leaves 2 * (_DIV_GUARD + 1) times the operands' largest.
-    pack, unpack, high = _pack_plan(a, b, 2 * (_DIV_GUARD + 2))
-    pb = {pack(m): c for m, c in b.items()}
-    lead_b = max(pb)
-    trail_b = min(pb)
-    cb = pb[lead_b]
-    rem = {pack(m): c for m, c in a.items()}
+    pack, unpack, high = plan or _pack_plan(2 * (_DIV_GUARD + 2), a, b)
+    rem = dict(a) if plan else {pack(m): c for m, c in a.items()}
+    if not plan:
+        b = {pack(m): c for m, c in b.items()}
+    lead_b = max(b)
+    trail_b = min(b)
+    cb = b[lead_b]
     trail_a = min(rem)
     if ((trail_a | high) - trail_b) & high != high:
         return None
-    if ints and rem[trail_a] % pb[trail_b]:
+    if ints and rem[trail_a] % b[trail_b]:
         return None
-    steps = [(x - lead_b, c) for x, c in pb.items()]
+    steps = [(x - lead_b, c) for x, c in b.items()]
     to_quo = pack(MONE) - lead_b
     heap = [-x for x in rem]           # negated: the min-heap pops the lead
     heapq.heapify(heap)
@@ -485,26 +485,20 @@ def poly_div_exact(a: dict, b: dict) -> Optional[dict]:
                 rem[mm] = nv
             elif cur is not None:
                 del rem[mm]
-    return None if rem else {unpack(x): c for x, c in quo.items()}
+    if rem or plan:
+        return None if rem else quo
+    return {unpack(x): c for x, c in quo.items()}
 
 
-def _image_rejects(a: dict, b: dict) -> bool:
-    """True only if b does not divide a, for int-coefficient a and
-    primitive int-coefficient b.  a = q*b puts q in Z[atoms] (Gauss's
-    lemma), so b's value at an integer point divides a's there.  The points
-    are every atom at 1 (the coefficient sums, valid for any exponents) and,
-    when every exponent is a nonnegative int, atom id i at 2**20 + i.  A
-    point where b is 0 tells nothing."""
-    sb = sum(b.values())
-    if sb and sum(a.values()) % sb:
-        return True
-    ents = set().union(*a, *b)
+def _id_image(a: dict) -> int:
+    """a's value with atom id i at 2**20 + i, or 0 (telling nothing) unless
+    every exponent is a nonnegative int.  By Gauss's lemma, if a = q*b, a int
+    and b primitive int, b's value here (and its sum) divides a's."""
+    ents = set().union(*a)
     if any(type(e) is not int or e < 0 for _aid, e in ents):
-        return False
+        return 0
     power = {ent: ((1 << 20) + ent[0]) ** ent[1] for ent in ents}.__getitem__
-    vb = sum(c * math.prod(map(power, m)) for m, c in b.items())
-    return vb != 0 and sum(c * math.prod(map(power, m))
-                           for m, c in a.items()) % vb != 0
+    return sum(c * math.prod(map(power, m)) for m, c in a.items())
 
 
 def _frac_c(a: Coeff, b: Coeff) -> Coeff:
@@ -909,37 +903,72 @@ def _make(c: Fraction, num: dict, den: tuple) -> "RF":
         if inv:
             num = poly_mul(num, {mono_from(inv): 1})
     den = tuple(sorted(out_den))
-    # cancel multi-term factors by exact division.  One pass suffices: a
-    # factor that does not divide num divides no quotient num/g either.
-    # Only a division cut off by the step guard is undecided; the pass is
-    # repeated while such a division remains and other factors divided num.
-    # Single-term factors are skipped: each is an atom power left over after
-    # the step above took all of num's content in that atom.
     if den and len(num) <= _CANCEL_NUM_CAP and not poly_is_const(num):
-        again = True
-        while again:
-            undecided = divided = False
-            new_den = []
-            for k, f, e in den:
-                while e > 0 and len(f) > 1 and not poly_is_const(num):
-                    try:
-                        q = poly_div_exact(num, f)
-                    except _DivisionUndecided:
-                        undecided = True
-                        break
-                    if q is None:
-                        break
-                    num = q
-                    e -= 1
-                    divided = True
-                if e:
-                    new_den.append((k, f, e))
-            den = tuple(new_den)
-            again = undecided and divided
+        num, den = _cancel(num, den)
     cc, num = poly_primitive(num)
     out = RF._raw(c if cc == 1 else c * cc, num, den)
     out._made = True
     return out
+
+
+def _cancel(num: dict, den: tuple) -> tuple:
+    """(num, den) with each multi-term factor of den divided out of num as
+    often as it divides it; a factor that does not divide num divides no
+    quotient num/g either, so one pass suffices unless a division was cut
+    off by the step guard and others divided num.  With int coefficients
+    and primitive int factors, integer images (_id_image) screen each
+    factor: num's are taken once and divided by the factor's after a hit
+    (num's value image becomes 0 if the factor's is 0).  The first division
+    that passes packs num and all multi-term factors under one plan.  After
+    k hits no exponent exceeds k + 1 times the plan's largest (the Newton
+    polytopes of the quotient and the divisors sum to num's)."""
+    fs = {k: f for k, f, _e in den if len(f) > 1}
+    if not fs:
+        return num, den
+    ints = all(type(c) is int for p in (num, *fs.values())
+               for c in p.values()) \
+        and all(math.gcd(*f.values()) == 1 for f in fs.values())
+    images = {k: [sum(f.values()), None] for k, f in fs.items() if ints}
+    s, v = sum(num.values()), None      # num's images; v not yet taken
+    cur = plan = None                   # num packed, once a division runs
+    undecided = hit = False
+    new_den = []
+    for k, f, e in den:
+        img = images.get(k)
+        while e > 0 and len(f) > 1:
+            if img:
+                sf, vf = img
+                if sf and s % sf:
+                    break
+                if vf is None:
+                    vf = img[1] = _id_image(f)
+                if vf and v is None:
+                    v = _id_image(num)
+                if vf and v % vf:
+                    break
+            if plan is None:
+                plan = _pack_plan(2 * (_DIV_GUARD + 2)
+                                  * sum(t[2] for t in den), num, *fs.values())
+                pack, unpack, _high = plan
+                cur = {pack(m): c for m, c in num.items()}
+                packed = {k2: {pack(m): c for m, c in g.items()}
+                          for k2, g in fs.items()}
+            try:
+                q = poly_div_exact(cur, packed[k], plan)
+            except _DivisionUndecided:
+                undecided = True
+                break
+            if q is None:
+                break
+            cur, e, hit = q, e - 1, True
+            if img:
+                s = s // sf if sf else sum(cur.values())
+                v = v // vf if vf else 0
+        if e:
+            new_den.append((k, f, e))
+    if hit:
+        num, den = {unpack(x): c for x, c in cur.items()}, tuple(new_den)
+    return _cancel(num, den) if undecided and hit else (num, den)
 
 
 RF_ZERO = RF._raw(Fraction(0), {}, ())
@@ -970,13 +999,14 @@ def _even_pow_safe(base: RF) -> bool:
     """May an even root be taken without routing through abs?
 
     Safe exactly when the representation does not split the power across
-    independently-signed factors: a lone atom, a monomial of manifestly
-    nonnegative atoms over such a denominator, or a single multi-term
-    numerator with no monomial content and no denominator (it becomes one
-    opaque power base with strict real semantics).
+    independently-signed factors: a constant (_frac_power_const rejects a
+    negative one), a lone atom, a monomial of manifestly nonnegative atoms
+    over such a denominator, or a single multi-term numerator with no
+    monomial content and no denominator (it becomes one opaque power base
+    with strict real semantics).
     """
     if base.c < 0:
-        return False
+        return base.is_const()
     num = base.num
     if len(num) == 1:
         (m, _c), = num.items()
@@ -1172,8 +1202,6 @@ def rf_kernel(fn: str, arg: RF) -> RF:
     """Apply a unary kernel.  Only direct composition cancellations plus
     distribution of abs/sgn over monomial factors of known sign."""
     if fn == "abs":
-        if arg.is_zero_poly():
-            return RF_ZERO
         if arg.is_const():
             return rf_const(abs(arg.const_value()))
         return _abs_rf(arg)
@@ -1187,6 +1215,8 @@ def rf_kernel(fn: str, arg: RF) -> RF:
         u = _single_kern_arg(arg, "exp")
         if u is not None:
             return u
+        if arg.is_const() and arg.const_value() <= 0:
+            raise DomainError("log of a non-positive constant")
         if arg.is_const() and arg.const_value() == 1:
             return RF_ZERO
     if fn == "exp":

@@ -48,6 +48,23 @@ def spy_input(monkeypatch) -> list:
     return odes
 
 
+def _batch_lines(tmp_path, odes, seed=None) -> dict:
+    """The set of lines `report --batch` prints for each input, over runs
+    with the inputs in the given order and reversed."""
+    lines: dict = {}
+    for order in (odes, odes[::-1]):
+        batch = tmp_path / "odes.txt"
+        batch.write_text("\n".join(order) + "\n")
+        seed_args = [] if seed is None else ["--seed", str(seed)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ode3geom.cli", "report", "--batch",
+             str(batch), *seed_args], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        for line in proc.stdout.splitlines():
+            lines.setdefault(json.loads(line)["input"], set()).add(line)
+    return lines
+
+
 class TestClassify:
     def test_contact_row(self, capsys):
         code, out = run_cli(["classify", "--group", "contact",
@@ -261,20 +278,48 @@ class TestBatchAndReport:
     def test_batch_order_keeps_the_bytes(self, tmp_path):
         """q^(7/4) prints the same line after exp(q) as before it (the
         batch once printed I1 = 1.1547005383792515 in one order and ...512
-        in the other).  Batch order can still move bytes: at seeds 1 and 2
-        the pair q^(7/4), row V differs in the last digits of I1-I4."""
-        lines = {}
-        for order in (["exp(q)", "q^(7/4)"], ["q^(7/4)", "exp(q)"]):
-            batch = tmp_path / "odes.txt"
-            batch.write_text("\n".join(order) + "\n")
-            proc = subprocess.run(
-                [sys.executable, "-m", "ode3geom.cli", "report", "--batch",
-                 str(batch)], capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            for line in proc.stdout.splitlines():
-                lines.setdefault(json.loads(line)["input"], set()).add(line)
+        in the other).  Batch order can still move bytes at other seeds:
+        see the next test."""
+        lines = _batch_lines(tmp_path, ["exp(q)", "q^(7/4)"])
         assert len(lines["q^(7/4)"]) == 1
         assert len(lines["exp(q)"]) == 1
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "atom ids follow first use in the process, and they order sampled "
+        "sums and printed factors; ROADMAP direction 2 (engine state that "
+        "belongs to one item) mends it"))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_batch_order_keeps_the_bytes_at_seeds_1_and_2(self, tmp_path,
+                                                          seed):
+        # at the default seed 42 the two orders match
+        lines = _batch_lines(tmp_path, ["q^(7/4)",
+                                        "(q^2+1)^(3/2)*exp(atan(q)/2)"],
+                             seed)
+        assert all(len(printed) == 1 for printed in lines.values())
+
+    def test_undefined_f_is_an_input_error(self, capsys):
+        for text in ("1/0", "1/(q-q)", "0^(-1)", "(-4)^(1/2)",
+                     "(-1)^(1/2)", "log(0)", "log(-2)"):
+            assert main(["classify", "--ode", text]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("input error: F is undefined: "), err
+        rep, code = run_report("log(0)", DEFAULT_CONFIG)
+        assert code == 1
+        assert rep["error"] == ("input error: F is undefined: log of a "
+                                "non-positive constant")
+
+    def test_batch_reports_every_line_past_an_undefined_f(self, tmp_path,
+                                                          capsys):
+        batch = tmp_path / "odes.txt"
+        batch.write_text("1/0\nq^2\n(-4)^(1/2)\n")
+        code, out = run_cli(["report", "--batch", str(batch)], capsys)
+        assert code == 1
+        lines = [json.loads(line) for line in out.splitlines() if line]
+        assert [l["input"] for l in lines] == ["1/0", "q^2", "(-4)^(1/2)"]
+        assert lines[0]["error"].startswith("input error: F is undefined")
+        assert lines[2]["error"].startswith("input error: F is undefined")
+        assert "error" not in lines[1]
+        assert lines[1]["point"]["row"] == "IV"
 
     def test_config_file(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg"

@@ -151,6 +151,24 @@ class TestNormalize:
         e = pow_(num(2), Fraction(1, 2)) * pow_(num(8), Fraction(1, 2))
         assert str(normalize(e)) == "4"
 
+    @pytest.mark.parametrize("text", ["(-4)^(1/2)", "(-1)^(1/2)",
+                                      "(-8)^(3/4)", "sqrt(-2)", "log(0)",
+                                      "log(-3/2)", "log(1-1)"])
+    def test_undefined_constants_are_rejected_when_built(self, text):
+        with pytest.raises(DomainError):
+            normalize(parse(text))
+
+    @pytest.mark.parametrize("text, want", [
+        ("(-8)^(1/3)", "(-2)"), ("4^(1/2)", "2"), ("log(1)", "0"),
+        ("abs(-4)^(1/2)", "2")])
+    def test_defined_constants_are_kept(self, text, want):
+        assert str(normalize(parse(text))) == want
+
+    def test_nonconstant_bases_keep_the_abs_route(self):
+        # -q^2 - 1 is negative everywhere, but only constants are
+        # decided when built; the sampler rejects the points
+        assert "abs" in str(normalize(parse("(-q^2-1)^(1/2)")))
+
     def test_fractional_power_merge(self):
         assert str(normalize(parse("q^(1/2)*q^(1/2)"))) == "q"
 
@@ -393,6 +411,55 @@ def _den(*factors):
     return tuple(sorted((poly.poly_key(f), f, e) for f, e in factors))
 
 
+def _division_outcomes(monkeypatch):
+    """The outcome of each poly.poly_div_exact call for the rest of the
+    test: "hit", None for a miss, or "undecided"."""
+    seen = []
+    real = poly.poly_div_exact
+
+    def spy(*args):
+        try:
+            q = real(*args)
+        except poly._DivisionUndecided:
+            seen.append("undecided")
+            raise
+        seen.append(None if q is None else "hit")
+        return q
+    monkeypatch.setattr(poly, "poly_div_exact", spy)
+    return seen
+
+
+def pairwise_cancel(num, den):
+    """The pairwise reduction, the oracle of poly._cancel: each multi-term
+    factor tried by poly_div_exact on the tuple-keyed pair, with no integer
+    screen, while num is not constant."""
+    again = True
+    while again:
+        undecided = divided = False
+        new_den = []
+        for k, f, e in den:
+            while e > 0 and len(f) > 1 and not poly.poly_is_const(num):
+                try:
+                    q = poly.poly_div_exact(num, f)
+                except poly._DivisionUndecided:
+                    undecided = True
+                    break
+                if q is None:
+                    break
+                num, e, divided = q, e - 1, True
+            if e:
+                new_den.append((k, f, e))
+        den = tuple(new_den)
+        again = undecided and divided
+    return num, den
+
+
+def cancelled_terms(out):
+    """A (num, den) pair of a cancellation term for term."""
+    num, den = out
+    return [(m, type(c), c) for m, c in num.items()], den
+
+
 HALF = Fraction(1, 2)
 
 
@@ -424,37 +491,51 @@ class TestExactDivision:
         # integral coefficients as ints, as in canonical polynomials
         a = {m: poly._frac_c(c, 1) for m, c in poly.poly_mul(q, b).items()}
         assert poly.poly_div_exact(a, b) == q
+        assert poly._cancel(a, _den((b, 1))) == (q, ())
 
-    @pytest.mark.parametrize("a, b", [
+    @pytest.mark.parametrize("a, b, alone", [
         # lead monomial: q^4 does not divide q^3
-        (_poly((1, {"q": 3}), (1, {"q": 1})),
-         _poly((1, {"q": 4}), (1, {"q": 1}))),
+        pytest.param(_poly((1, {"q": 3}), (1, {"q": 1})),
+                     _poly((1, {"q": 4}), (1, {"q": 1})), True, id="a0-b0"),
         # trailing monomial: q does not divide 1
-        (_poly((1, {"q": 3}), (1, {})),
-         _poly((1, {"q": 2}), (1, {"q": 1}))),
+        pytest.param(_poly((1, {"q": 3}), (1, {})),
+                     _poly((1, {"q": 2}), (1, {"q": 1})), True, id="a1-b1"),
         # Gauss: lc(b) = 2 does not divide lc(a) = 3
-        (_poly((3, {"q": 2}), (1, {})),
-         _poly((2, {"q": 1}), (1, {}))),
+        pytest.param(_poly((3, {"q": 2}), (1, {})),
+                     _poly((2, {"q": 1}), (1, {})), True, id="a2-b2"),
         # Gauss: tc(b) = 2 does not divide tc(a) = 3
-        (_poly((2, {"q": 2}), (3, {})),
-         _poly((1, {"q": 1}), (2, {}))),
+        pytest.param(_poly((2, {"q": 2}), (3, {})),
+                     _poly((1, {"q": 1}), (2, {})), True, id="a3-b3"),
         # integer image: the coefficient sums 6 and 3 pass, but at
-        # q = 2**20 + id b's value does not divide a's
-        (_poly((2, {"q": 3}), (2, {"q": 2}), (1, {"q": 1}), (1, {})),
-         _poly((2, {"q": 1}), (1, {}))),
+        # q = 2**20 + id b's value does not divide a's.  The division
+        # alone needs a second step.
+        pytest.param(_poly((2, {"q": 3}), (2, {"q": 2}), (1, {"q": 1}),
+                           (1, {})),
+                     _poly((2, {"q": 1}), (1, {})), False, id="a4-b4"),
     ])
-    def test_misses_rejected_without_reducing(self, monkeypatch, a, b):
-        # a second step would raise: the miss is found before any reduction
+    def test_misses_rejected_without_reducing(self, monkeypatch, a, b,
+                                              alone):
+        # a second step would raise: the pass's integer images find each
+        # miss before any division, and the division alone finds the
+        # first four before a second step
         monkeypatch.setattr(poly, "_DIV_GUARD", 1)
-        assert poly.poly_div_exact(a, b) is None
+        divisions = _division_outcomes(monkeypatch)
+        den = _den((b, 1))
+        assert poly._cancel(a, den) == (a, den)
+        assert divisions == []
+        if alone:
+            assert poly.poly_div_exact(a, b) is None
+        else:
+            with pytest.raises(poly._DivisionUndecided):
+                poly.poly_div_exact(a, b)
 
     def test_fractional_quotient_coefficient_ends_division(self,
                                                           monkeypatch):
         # (2q^3 + 2q^2 + q + 1) / (2q + 1): the second quotient coefficient
-        # would be 1/2, impossible for a primitive integer divisor.  The
-        # integer image rejects this input before any reduction step, so it
-        # is switched off to keep the in-loop test covered.
-        monkeypatch.setattr(poly, "_image_rejects", lambda a, b: False)
+        # would be 1/2, impossible for a primitive integer divisor.  _make's
+        # pass rejects this input by its integer images before dividing
+        # (test_misses_rejected_without_reducing); the division alone
+        # needs the in-loop test.
         a = _poly((2, {"q": 3}), (2, {"q": 2}), (1, {"q": 1}), (1, {}))
         b = _poly((2, {"q": 1}), (1, {}))
         monkeypatch.setattr(poly, "_DIV_GUARD", 2)
@@ -505,13 +586,16 @@ class TestExactDivision:
         x = _poly((1, {"x": 1}))
         g = _poly((1, {"q": 2}), (1, {}))
         num = poly.poly_mul(poly.poly_mul(poly.poly_pow(f1, 2), f2), g)
-        divisions = _count_calls(monkeypatch, "poly_div_exact")
+        divisions = _division_outcomes(monkeypatch)
+        packs = _count_calls(monkeypatch, "_pack_plan")
         rf = poly._make(Fraction(1), num, _den((f1, 3), (f2, 2), (x, 1)))
         assert rf.c == 1 and rf.num == g
         assert rf.den == _den((f1, 1), (f2, 1), (x, 1))
-        # f1: two quotients and one miss; f2: one quotient and one miss;
-        # x: none, as num has no x
-        assert len(divisions) == 5
+        # f1: two quotients, then its integer images reject the third try;
+        # f2: one quotient, then the images reject; x: none, as num has
+        # no x.  One plan packs num, f1 and f2.
+        assert divisions == ["hit"] * 3
+        assert len(packs) == 1 and len(packs[0]) == 4
 
     def test_make_retries_undecided_division(self, monkeypatch):
         # With at most four reduction steps, num/f (six quotient terms) is
@@ -529,15 +613,15 @@ class TestExactDivision:
         assert rf.num == _poly((1, {v: 2}), (1, {v: 1}), (1, {}))
 
 
-def _screen(monkeypatch):
-    """The values poly._image_rejects returns for the rest of the test."""
+def _returns(monkeypatch, name):
+    """The values poly.<name> returns for the rest of the test."""
     seen = []
-    real = poly._image_rejects
+    real = getattr(poly, name)
 
-    def spy(a, b):
-        seen.append(real(a, b))
+    def spy(*args):
+        seen.append(real(*args))
         return seen[-1]
-    monkeypatch.setattr(poly, "_image_rejects", spy)
+    monkeypatch.setattr(poly, name, spy)
     return seen
 
 
@@ -546,17 +630,22 @@ _X_AT_POINT = 2 ** 20 + poly.var_atom("x")
 
 
 class TestImageRejects:
-    """A trial division is rejected by integer images before packing."""
+    """_make's pass rejects a trial division by integer images before
+    anything is packed."""
 
     def test_caught_miss_packs_nothing(self, monkeypatch):
         # (q^2 + 1)/(q - 2): the coefficient sums 2 and -1 pass, but at
         # q = N = 2**20 + id, N^2 + 1 leaves 5 modulo N - 2
         packs = _count_calls(monkeypatch, "_pack_plan")
-        seen = _screen(monkeypatch)
+        divisions = _division_outcomes(monkeypatch)
+        images = _returns(monkeypatch, "_id_image")
         a = _poly((1, {"q": 2}), (1, {}))
         b = _poly((1, {"q": 1}), (-2, {}))
-        assert poly.poly_div_exact(a, b) is None
-        assert seen == [True] and packs == []
+        den = _den((b, 1))
+        assert poly._cancel(a, den) == (a, den)
+        (vb, va), n = images, 2 ** 20 + poly.var_atom("q")
+        assert (vb, va) == (n - 2, n * n + 1) and va % vb == 5
+        assert packs == [] and divisions == []
 
     @pytest.mark.parametrize("q, b, r, screened", [
         # Fraction coefficients: not an integer division, not screened
@@ -580,16 +669,20 @@ class TestImageRejects:
             self, monkeypatch, q, b, r, screened):
         hit = {m: poly._frac_c(c, 1) for m, c in poly.poly_mul(q, b).items()}
         miss = poly.poly_add(hit, r)
+        den = _den((b, 1))
         packs = _count_calls(monkeypatch, "_pack_plan")
-        seen = _screen(monkeypatch)
-        assert poly.poly_div_exact(hit, b) == q
-        assert poly.poly_div_exact(miss, b) is None
-        assert seen == ([False, False] if screened else [])
-        assert len(packs) == 2
+        divisions = _division_outcomes(monkeypatch)
+        images = _returns(monkeypatch, "_id_image")
+        assert poly._cancel(hit, den) == (q, ())
+        assert poly._cancel(miss, den) == (miss, den)
+        # screened: the sums pass and b's value image, 0, tells nothing
+        assert images == ([0, 0] if screened else [])
+        assert divisions == ["hit", None] and len(packs) == 2
 
     def test_replayed_benchmark_divisions_are_unchanged(self, monkeypatch):
-        # every trial division of the benchmark's chazy-fp item chazy:II#0
-        # at seed 1, replayed with the image test and without it
+        # every cancellation pass of the benchmark's chazy-fp item
+        # chazy:II#0 at seed 1, replayed through the pass and through the
+        # pairwise reduction
         import argparse
         from dataclasses import replace
 
@@ -600,28 +693,21 @@ class TestImageRejects:
         args = argparse.Namespace(transform=True, base="0,1,0,0", c1=1.0,
                                   c2=0.0)
         t = transform.random_fp_transforms(13, 8)[0]
-        divide = poly.poly_div_exact
-        calls = _count_calls(monkeypatch, "poly_div_exact")
+        cancel = poly._cancel
+        calls = _count_calls(monkeypatch, "_cancel")
         pb = transform.pullback_ode(chazy_class("II").canonical_ode(), t, cfg)
         cli.report_chazy(pb, cfg, args)
 
-        def replay():
-            out = []
-            for a, b in list(calls):
-                try:
-                    q = divide(a, b)
-                except poly._DivisionUndecided:
-                    q = "undecided"
-                out.append(q if q is None or isinstance(q, str) else
-                           [(m, type(c), c) for m, c in q.items()])
-            return out
-        seen = _screen(monkeypatch)
-        screened = replay()
-        monkeypatch.setattr(poly, "_image_rejects", lambda a, b: False)
-        assert replay() == screened
-        misses = screened.count(None)
+        divisions = _division_outcomes(monkeypatch)
+        pairwise = [cancelled_terms(pairwise_cancel(*c)) for c in calls]
+        by_pairs = list(divisions)
+        divisions.clear()
+        assert [cancelled_terms(cancel(*c)) for c in calls] == pairwise
+        assert divisions.count("hit") == by_pairs.count("hit")
+        misses = by_pairs.count(None)
         assert len(calls) > 100 and misses > 50
-        assert sum(seen) >= 0.9 * misses
+        # the images catch at least 9 in 10 of the pairwise misses
+        assert len(by_pairs) - len(divisions) >= 0.9 * misses
 
 
 def _terms(rf):
@@ -770,14 +856,15 @@ class TestPackedKernels:
         for room in (1, 2, 7, 2 * (poly._DIV_GUARD + 2)):
             a = _rand_poly(rng, 3)
             b = _rand_poly(rng, 3)
-            pack, unpack, high = poly._pack_plan(a, b, room)
+            c = _rand_poly(rng, 2)
+            pack, unpack, high = poly._pack_plan(room, a, b, c)
             one = pack(poly.MONE)
-            univ = _atoms(a, b)
+            univ = _atoms(a, b, c)
 
             def rand_mono():
                 # m1^k * m2^j with k + j <= room, packed by additions: no
-                # exponent exceeds room times the operands' largest
-                m1, m2 = rng.choice([*a, *b]), rng.choice([*a, *b])
+                # exponent exceeds room times the polynomials' largest
+                m1, m2 = rng.choice([*a, *b, *c]), rng.choice([*a, *b, *c])
                 k = rng.choice([room, rng.randint(0, room)])
                 j = rng.randint(0, room - k)
                 x = k * pack(m1) + j * pack(m2) - (k + j - 1) * one

@@ -2,8 +2,9 @@
 
 _make must be a fixed point of its own output, and a rational constant
 times such an output (which skips _make) must equal what _make builds from
-the product.  The integer-image test of exact division never rejects a
-divisor.  Needs hypothesis; skipped without it."""
+the product.  _make's one cancellation pass returns term for term what the
+pairwise reduction returns, and its integer images never reject a divisor.
+Needs hypothesis; skipped without it."""
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ode3geom.expr import poly  # noqa: E402
+from test_expr import cancelled_terms, pairwise_cancel  # noqa: E402
 
 NAMES = ("x", "y", "p", "q")
 # negative and fractional exponents exercise the Laurent clearing and the
@@ -25,14 +27,20 @@ COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=9) \
     .filter(bool)
 
 
-def _rf(terms) -> poly.RF:
-    """_make's RF of a sum of (coeff, {name: exponent}) terms."""
+def _raw_poly(terms) -> dict:
+    """The polynomial of (coeff, {name: exponent}) terms, negative
+    exponents kept."""
     out: dict = {}
     for c, exps in terms:
         m = poly.mono_from((poly.var_atom(v), poly._exp_norm(Fraction(e)))
                            for v, e in exps.items() if e)
         out = poly.poly_add(out, {m: c})
-    return poly._make(Fraction(1), out, ())
+    return out
+
+
+def _rf(terms) -> poly.RF:
+    """_make's RF of a sum of (coeff, {name: exponent}) terms."""
+    return poly._make(Fraction(1), _raw_poly(terms), ())
 
 
 def _terms(rf):
@@ -58,7 +66,7 @@ def test_make_is_a_fixed_point_of_its_output(a, b, c, d, k):
 
 
 # integer polynomials over the jet variables and one kernel atom, with
-# nonnegative int exponents: both integer points of _image_rejects apply
+# nonnegative int exponents: both integer images apply
 INT_TERM = st.tuples(st.integers(-4, 4).filter(bool),
                      st.lists(st.sampled_from([0, 0, 1, 2, 3]),
                               min_size=len(NAMES) + 1,
@@ -83,5 +91,66 @@ def test_image_never_rejects_a_divisor(q_terms, b_terms):
     assume(q and b)
     _c, b = poly.poly_primitive(b)
     a = poly.poly_mul(q, b)
-    assert not poly._image_rejects(a, b)
+    sb, vb = sum(b.values()), poly._id_image(b)
+    assert sb == 0 or sum(a.values()) % sb == 0
+    assert vb == 0 or poly._id_image(a) % vb == 0
     assert poly.poly_div_exact(a, b) == q
+    if len(b) > 1:
+        assert poly._cancel(a, ((poly.poly_key(b), b, 1),)) == (q, ())
+
+
+def _terms_with(exps, min_size, max_size):
+    term = st.tuples(st.integers(-3, 3).filter(bool),
+                     st.fixed_dictionaries({v: exps for v in NAMES}))
+    return st.lists(term, min_size=min_size, max_size=max_size)
+
+
+# fractional exponents, and a negative one in a term that a factor may
+# gain; none in the cofactor, as _make clears them from num, so that
+# quotients exist
+NONNEG = st.sampled_from([0, 0, 1, 2, Fraction(1, 2)])
+FACTOR = st.tuples(_terms_with(NONNEG, 2, 3), st.booleans(),
+                   st.integers(1, 3), st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(FACTOR, min_size=1, max_size=3), _terms_with(NONNEG, 1, 3),
+       st.booleans(), st.sampled_from([None, None, 1, 2]),
+       st.sampled_from([3, 12, poly._DIV_GUARD]), st.booleans())
+def test_cancel_pass_matches_pairwise_reduction(factors, cofactor, shared,
+                                                noise, guard, halve):
+    """Repeated factors (num holds up to f^3 against f^e), a factor that
+    shares a factor with another, fractional and negative exponents, a
+    term that breaks divisibility, Fraction coefficients (not screened),
+    and a step guard small enough to leave divisions undecided."""
+    fs = []
+    for terms, negative, e, power in factors:
+        if negative:
+            terms = [*terms, (1, {"x": -1})]
+        _c, f = poly.poly_primitive(_raw_poly(terms) or {poly.MONE: 1})
+        fs.append([f, e, power])
+    if shared and len(fs) > 1:
+        fs[1][0] = poly.poly_mul(fs[0][0], fs[1][0])
+    den: dict = {}
+    for f, e, _power in fs:
+        if len(f) > 1:
+            k = poly.poly_key(f)
+            den[k] = (k, f, den[k][2] + e if k in den else e)
+    num = _raw_poly(cofactor)
+    for f, _e, power in fs:
+        num = poly.poly_mul(num, poly.poly_pow(f, power))
+    if noise is not None:
+        num = poly.poly_add(num, _raw_poly([cofactor[0]]) if noise == 1
+                            else {poly.MONE: noise})
+    if halve:
+        num = poly.poly_scale(num, Fraction(1, 2))
+    den = tuple(sorted(den.values()))
+    assume(den and num and not poly.poly_is_const(num))
+    saved = poly._DIV_GUARD
+    poly._DIV_GUARD = guard
+    try:
+        got = cancelled_terms(poly._cancel(num, den))
+        want = cancelled_terms(pairwise_cancel(num, den))
+    finally:
+        poly._DIV_GUARD = saved
+    assert got == want
