@@ -13,7 +13,7 @@ from .chazy import (ChazyTransformError, NotReducibleError, chazy_classify,
                     chazy_transform)
 from .classify import JET, InconclusiveError, _jsonable
 from .contact import classify_contact, contact_branch
-from .expr import (DEFAULT_CONFIG, DomainError, JetPoint, ParseError,
+from .expr import (DEFAULT_CONFIG, DomainError, Expr, JetPoint, ParseError,
                    SignConsistencyError, SingularPointError, ZeroConfig,
                    normalize, parse)
 from .geometry import (NonWunschmannError, RicciZeroError, WeylGateError,
@@ -81,17 +81,26 @@ def build_config(args, file_opts: dict) -> ZeroConfig:
 
 
 class UndefinedInputError(ValueError):
-    """F is undefined as built: it divides by a zero expression, or takes
-    an even root of a negative constant or the log of a non-positive one."""
+    """An input (F, or a transform's chi or phi) is undefined as built: it
+    divides by a zero expression, or takes an even root of a negative
+    constant or the log of a non-positive one."""
+
+
+def _read_expr(name: str, text: str) -> Expr:
+    """parse(text), lowered at once so that an undefined value is an input
+    error."""
+    e = parse(text)
+    try:
+        e.rf
+    except (ZeroDivisionError, DomainError) as exc:
+        raise UndefinedInputError(f"{name} is undefined: {exc}") from exc
+    return e
 
 
 def _read_ode(text: str) -> Ode3:
     if text == "-":
         text = sys.stdin.read().strip()
-    try:
-        return Ode3.from_text(text)
-    except (ZeroDivisionError, DomainError) as exc:
-        raise UndefinedInputError(f"F is undefined: {exc}") from exc
+    return Ode3(_read_expr("F", text))
 
 
 def _input_error(exc: ValueError) -> str:
@@ -377,7 +386,8 @@ def _run_single(args, cfg: ZeroConfig) -> int:
         return EXIT_OK
     if args.command == "pullback":
         ode = _read_ode(args.ode)
-        t = PointTransform(parse(args.chi), parse(args.phi))
+        t = PointTransform(_read_expr("chi", args.chi),
+                           _read_expr("phi", args.phi))
         out = pullback_ode(ode, t, cfg)
         if args.json:
             _emit({"F": sym(out.F)}, True)

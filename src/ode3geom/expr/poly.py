@@ -13,7 +13,10 @@ are spliced back into the polynomial so that q^(1/2)*q^(1/2) is q and
 Keeping denominators factored makes the operations the invariant pipelines
 hammer on cheap: differentiation bumps factor multiplicities by one instead
 of squaring denominators, and cancellation is a few exact-division tests
-instead of a multivariate gcd.
+instead of a multivariate gcd.  A derivative is made from int polynomials
+with its rational scale in c, so that _cancel screens it; a polynomial in
+jet variables is differentiated by exponent, and drf makes each
+quotient-rule term in one _make.
 
 Exact division and the multi-term product work on packed exponent vectors
 (_pack_plan): each monomial becomes one int, so a monomial product is one
@@ -1281,24 +1284,26 @@ def datom_ratio(aid: int, v: int) -> RF:
 
 
 def dpoly(p: dict, v: int) -> RF:
-    """Derivative of an integer polynomial with respect to var-atom v."""
+    """Derivative of an integer polynomial with respect to var-atom v, made
+    from int polynomials only (see the module docstring)."""
+    if all(type(e) is int and e > 0 and _atom_payload[aid][0] == VAR
+           for m in p for aid, e in m):
+        d = {m[:i] + (((v, e - 1),) if e > 1 else ()) + m[i + 1:]: c * e
+             for m, c in p.items() for i, (aid, e) in enumerate(m) if aid == v}
+        return _make(Fraction(1), d, ()) if d else RF_ZERO
+    pieces = [(m, c * e * ratio.c, ratio) for m, c in p.items()
+              for aid, e in m if (ratio := datom_ratio(aid, v)).num]
+    L = math.lcm(*(k.denominator for _m, k, _r in pieces))
     groups: dict = {}
     dens: dict = {}
-    for m, c in p.items():
-        for aid, e in m:
-            ratio = datom_ratio(aid, v)
-            if ratio.is_zero_poly():
-                continue
-            piece = poly_mul({m: c * e * ratio.c}, ratio.num)
-            dk = _den_key(ratio.den)
-            if dk in groups:
-                groups[dk] = poly_add(groups[dk], piece)
-            else:
-                groups[dk] = piece
-                dens[dk] = ratio.den
+    for m, k, ratio in pieces:
+        piece = poly_mul({m: k.numerator * (L // k.denominator)}, ratio.num)
+        dk = _den_key(ratio.den)
+        groups[dk] = poly_add(groups.get(dk, {}), piece)
+        dens.setdefault(dk, ratio.den)
     total = RF_ZERO
     for dk, numpart in groups.items():
-        total = total + _make(Fraction(1), numpart, dens[dk])
+        total = total + _make(Fraction(1, L), numpart, dens[dk])
     return total
 
 
@@ -1319,7 +1324,9 @@ def drf(rf: RF, v: int) -> RF:
             dfac = dpoly(f, v)
             if dfac.is_zero_poly():
                 continue
-            term = num_rf * dfac * inv_den / RF._raw(Fraction(1), f, ())
+            # num * f' / (den * f): dividing by f only raises its power
+            term = num_rf * dfac * RF._raw(Fraction(1), P_ONE,
+                                           _den_mul(rf.den, ((k, f, 1),)))
             out = out + _rescaled(term.c * (-e), term)
     else:
         out = dn

@@ -308,6 +308,19 @@ class TestBatchAndReport:
         assert rep["error"] == ("input error: F is undefined: log of a "
                                 "non-positive constant")
 
+    @pytest.mark.parametrize("name, chi, phi, why", [
+        ("chi", "1/0", "y", "division by symbolically zero expression"),
+        ("phi", "x", "1/(y-y)", "division by symbolically zero expression"),
+        ("chi", "log(0)", "y", "log of a non-positive constant"),
+        ("phi", "x", "(-4)^(1/2)", "even root of a negative constant"),
+    ])
+    def test_undefined_transform_is_an_input_error(self, capsys, name, chi,
+                                                   phi, why):
+        code = main(["pullback", "--ode", "q", "--chi", chi, "--phi", phi])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == f"input error: {name} is undefined: {why}\n"
+
     def test_batch_reports_every_line_past_an_undefined_f(self, tmp_path,
                                                           capsys):
         batch = tmp_path / "odes.txt"

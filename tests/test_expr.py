@@ -1,6 +1,7 @@
 """Expression core: parsing, printing, calculus, zero testing."""
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -460,6 +461,65 @@ def cancelled_terms(out):
     return [(m, type(c), c) for m, c in num.items()], den
 
 
+def grouped_dpoly(p, v):
+    """The Fraction-coefficient grouping, the oracle of poly.dpoly: each
+    entry's piece m * c * e * datom_ratio, with its Fraction coefficient,
+    added into the group of the ratio's denominator, and each group made
+    with c = 1."""
+    groups, dens = {}, {}
+    for m, c in p.items():
+        for aid, e in m:
+            ratio = poly.datom_ratio(aid, v)
+            if ratio.is_zero_poly():
+                continue
+            piece = poly.poly_mul({m: c * e * ratio.c}, ratio.num)
+            dk = poly._den_key(ratio.den)
+            if dk in groups:
+                groups[dk] = poly.poly_add(groups[dk], piece)
+            else:
+                groups[dk] = piece
+                dens[dk] = ratio.den
+    total = poly.RF_ZERO
+    for dk, numpart in groups.items():
+        total = total + poly._make(Fraction(1), numpart, dens[dk])
+    return total
+
+
+def chained_drf(rf, v):
+    """The quotient rule as a chain of products, the oracle of poly.drf:
+    each term num * f' times 1/den, then divided by f; no cache."""
+    out = grouped_dpoly(rf.num, v)
+    if rf.den:
+        inv_den = poly.RF._raw(Fraction(1), dict(poly.P_ONE), rf.den)
+        out = out * inv_den
+        num_rf = poly.RF._raw(Fraction(1), rf.num, ())
+        for _k, f, e in rf.den:
+            dfac = grouped_dpoly(f, v)
+            if dfac.is_zero_poly():
+                continue
+            term = num_rf * dfac * inv_den / poly.RF._raw(Fraction(1), f, ())
+            out = out + poly._rescaled(term.c * (-e), term)
+    if rf.c != 1 and not out.is_zero_poly():
+        out = poly._rescaled(out.c * rf.c, out)
+    return out
+
+
+def derivative_pair(new, oracle, *args):
+    """(new(*args), oracle(*args)), each from empty derivative caches.  The
+    oracle runs with poly.dpoly and poly.drf replaced by the oracles, which
+    kernel and power-base atoms then differentiate their arguments by."""
+    saved = poly.dpoly, poly.drf
+    try:
+        poly._datom_cache.clear()
+        poly.dpoly, poly.drf = grouped_dpoly, chained_drf
+        want = oracle(*args)
+    finally:
+        poly.dpoly, poly.drf = saved
+        poly._datom_cache.clear()
+        poly._drf_cache.clear()
+    return new(*args), want
+
+
 HALF = Fraction(1, 2)
 
 
@@ -751,6 +811,123 @@ class TestMadeShortcut:
         got = poly.rf_const(Fraction(3)) * raw
         assert len(makes) == 1
         assert _terms(got) == _terms(poly.rf_const(Fraction(6)))
+
+
+def _makes_from(monkeypatch, caller):
+    """The (c, num, den) of every poly._make call made directly by the
+    function named caller, for the rest of the test."""
+    seen = []
+    real = poly._make
+
+    def spy(c, num, den):
+        if sys._getframe(1).f_code.co_name == caller:
+            seen.append((c, num, den))
+        return real(c, num, den)
+    monkeypatch.setattr(poly, "_make", spy)
+    return seen
+
+
+# one of each kind of atom a derivative meets
+DERIVATIVE_INPUTS = [
+    "3*x^2*q + q^3 - 2*p + 5",                       # jet variables only
+    "q^(3/2) + x*q^(1/3) - p^(-1/2)",                # fractional exponents
+    "exp(q^2*p)*x + q", "log(q^2 + 1)*p", "atan(p*q) - x*q",
+    "abs(q - p)*q", "sgn(q - x)*q^2 + abs(x*q)",     # kernels
+    "2^(1/2)*q + 6^(1/3)*p^2",                       # prime atoms
+    "(q^2 + 1)^(1/2)*p + (p*q - x)^(-2/3)",          # power bases
+    # repeated multi-term denominator factors
+    ("x", ("q + p", 2), ("q - 1", 3)),
+    ("exp(q)*y - q", ("q^2 + p", 2), ("q + p", 1)),
+]
+
+
+def _input_rf(spec):
+    """The RF of a text, or of (numerator, (factor, multiplicity), ...):
+    dividing by a factor once per multiplicity keeps it unexpanded."""
+    if isinstance(spec, str):
+        return parse(spec).rf
+    rf = parse(spec[0]).rf
+    for text, n in spec[1:]:
+        for _ in range(n):
+            rf = rf / parse(text).rf
+    return rf
+
+
+class TestDerivativeKernel:
+    """dpoly hands _make int polynomials only and differentiates a jet
+    polynomial by exponent; drf makes each quotient-rule term once."""
+
+    @pytest.mark.parametrize("text", DERIVATIVE_INPUTS)
+    def test_equals_the_oracles_term_for_term(self, text):
+        rf = _input_rf(text)
+        for name in ("x", "y", "p", "q"):
+            v = poly.var_atom(name)
+            got, want = derivative_pair(poly.drf, chained_drf, rf, v)
+            assert _terms(got) == _terms(want)
+            got, want = derivative_pair(poly.dpoly, grouped_dpoly, rf.num, v)
+            assert _terms(got) == _terms(want)
+
+    @pytest.mark.parametrize("text", DERIVATIVE_INPUTS)
+    def test_every_make_from_dpoly_gets_int_coefficients(self, monkeypatch,
+                                                         text):
+        rf = _input_rf(text)
+        poly._datom_cache.clear()
+        poly._drf_cache.clear()
+        makes = _makes_from(monkeypatch, "dpoly")
+        for name in ("x", "y", "p", "q"):
+            poly.drf(rf, poly.var_atom(name))
+        assert makes
+        for c, num, _den in makes:
+            assert c.numerator == 1
+            assert all(type(k) is int for k in num.values()), num
+
+    def test_scale_is_the_lcm_of_the_piece_denominators(self, monkeypatch):
+        # d/dq (q^(1/2) + x*q^(1/3)): pieces 1/2 and 1/3 over q, so L = 6
+        q = poly.var_atom("q")
+        makes = _makes_from(monkeypatch, "dpoly")
+        p = _poly((1, {"q": HALF}), (1, {"x": 1, "q": Fraction(1, 3)}))
+        got = poly.dpoly(p, q)
+        group = _poly((3, {"q": HALF}), (2, {"x": 1, "q": Fraction(1, 3)}))
+        assert [(c, list(num.items()), den) for c, num, den in makes] == \
+            [(Fraction(1, 6), list(group.items()), poly.datom_ratio(q, q).den)]
+        assert _terms(got) == _terms(grouped_dpoly(p, q))
+
+    def test_jet_polynomial_is_differentiated_by_exponent(self, monkeypatch):
+        p = _poly((3, {"x": 2, "q": 1}), (1, {"q": 3}), (-2, {"p": 1}),
+                  (5, {}))
+        ratios = _count_calls(monkeypatch, "datom_ratio")
+        makes = _count_calls(monkeypatch, "_make")
+        got = poly.dpoly(p, poly.var_atom("q"))
+        assert ratios == [] and len(makes) == 1
+        # 3*x^2 + 3*q^2, in p's monomial order
+        assert _terms(got) == (Fraction, 3, tuple(
+            _poly((1, {"x": 2}), (1, {"q": 2})).items()), ())
+        # no monomial holds y: zero, with no _make
+        assert poly.dpoly(p, poly.var_atom("y")) is poly.RF_ZERO
+        assert ratios == [] and len(makes) == 1
+
+    @pytest.mark.parametrize("text", ["q^(3/2) + q", "exp(q)*q"])
+    def test_other_atoms_take_the_grouped_path(self, monkeypatch, text):
+        rf = parse(text).rf
+        ratios = _count_calls(monkeypatch, "datom_ratio")
+        poly.dpoly(rf.num, poly.var_atom("q"))
+        assert ratios
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_drf_makes_each_quotient_rule_term_once(self, monkeypatch, k):
+        rf = _input_rf(("x*q", ("q + p", 1), ("q^2 + 1", 2),
+                        ("q - x", 1))[:k + 1])
+        assert len(rf.den) == k and all(len(f) > 1 for _k, f, _e in rf.den)
+        q = poly.var_atom("q")
+        _got, want = derivative_pair(poly.drf, chained_drf, rf, q)
+        poly._drf_cache.clear()
+        makes = _count_calls(monkeypatch, "_make")
+        divided = _makes_from(monkeypatch, "__truediv__")
+        got = poly.drf(rf, q)
+        assert _terms(got) == _terms(want)
+        # d num and d num / den, then per factor f: f', num * f', the term
+        # num * f' / (den * f) and its sum into the result
+        assert len(makes) == 2 + 4 * k and divided == []
 
 
 # exponents of one atom in one random term: negative, fractional, and an

@@ -4,7 +4,9 @@ _make must be a fixed point of its own output, and a rational constant
 times such an output (which skips _make) must equal what _make builds from
 the product.  _make's one cancellation pass returns term for term what the
 pairwise reduction returns, and its integer images never reject a divisor.
-Needs hypothesis; skipped without it."""
+dpoly and drf return term for term what the Fraction-coefficient grouping
+and the chained quotient rule return.  Needs hypothesis; skipped without
+it."""
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ode3geom.expr import poly  # noqa: E402
-from test_expr import cancelled_terms, pairwise_cancel  # noqa: E402
+from test_expr import (cancelled_terms, chained_drf,  # noqa: E402
+                       derivative_pair, grouped_dpoly, pairwise_cancel)
 
 NAMES = ("x", "y", "p", "q")
 # negative and fractional exponents exercise the Laurent clearing and the
@@ -154,3 +157,68 @@ def test_cancel_pass_matches_pairwise_reduction(factors, cofactor, shared,
     finally:
         poly._DIV_GUARD = saved
     assert got == want
+
+
+# jet polynomials with int exponents (dpoly's exponent path) or fractional
+# ones, and the atoms a derivative meets: kernels, prime atoms and power
+# bases over a jet polynomial
+INT_EXPS = st.sampled_from([0, 0, 1, 2])
+JET_POLY = _terms_with(INT_EXPS, 1, 3)
+FRAC_POLY = _terms_with(st.sampled_from([0, 0, 1, 2, Fraction(1, 2),
+                                         Fraction(-1, 2), Fraction(3, 2)]),
+                        1, 3)
+ATOM = st.sampled_from([*poly.KERNEL_NAMES, ("prime", 2), ("prime", 6),
+                        ("prime", Fraction(2, 3)), ("pbase", Fraction(1, 2)),
+                        ("pbase", Fraction(-1, 2)), ("pbase", Fraction(4, 3))])
+
+
+def _atom_rf(kind, arg):
+    """An atom over arg, a jet polynomial that is not constant; a power
+    base is arg + 1, which mostly has no monomial content."""
+    if kind in poly.KERNEL_NAMES:
+        return poly.rf_kernel(kind, arg)
+    kind, k = kind
+    if kind == "prime":
+        return poly.rf_pow(poly.rf_const(Fraction(k)), Fraction(1, 3))
+    base = arg + poly.RF_ONE
+    return poly.rf_pow(base, k) if not base.is_const() else poly.RF_ONE
+
+
+@st.composite
+def derivative_inputs(draw):
+    """A sum of up to three terms, each a jet polynomial times up to two
+    atoms, over up to two multi-term factors, each repeated up to three
+    times."""
+    out = poly.RF_ZERO
+    for _ in range(draw(st.integers(1, 3))):
+        term = _rf(draw(st.one_of(JET_POLY, FRAC_POLY)))
+        for kind in draw(st.lists(ATOM, max_size=2)):
+            arg = _rf(draw(JET_POLY))
+            if not arg.is_const():
+                term = term * _atom_rf(kind, arg)
+        out = out + term
+    for terms, n in draw(st.lists(st.tuples(_terms_with(INT_EXPS, 2, 3),
+                                            st.integers(1, 3)), max_size=2)):
+        f = _rf(terms)
+        if not f.is_const():
+            for _ in range(n):
+                out = out / f
+    return out
+
+
+def _content_free(rf):
+    """Every multi-term denominator factor has no monomial content, so
+    dividing by it once more only raises its multiplicity."""
+    return all(poly.poly_mono_content(f) == poly.MONE
+               for _k, f, _e in rf.den if len(f) > 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(derivative_inputs(), st.sampled_from(NAMES))
+def test_derivatives_match_the_grouped_and_chained_oracles(rf, name):
+    v = poly.var_atom(name)
+    assert _content_free(rf)
+    got, want = derivative_pair(poly.drf, chained_drf, rf, v)
+    assert _terms(got) == _terms(want) and _content_free(got)
+    got, want = derivative_pair(poly.dpoly, grouped_dpoly, rf.num, v)
+    assert _terms(got) == _terms(want)
