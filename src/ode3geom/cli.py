@@ -9,15 +9,14 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .chazy import (ChazyTransformError, NotReducibleError, chazy_classify,
-                    chazy_transform)
-from .classify import JET, InconclusiveError, _jsonable
+from .chazy import chazy_classify, chazy_transform
+from .classify import JET, _jsonable
 from .contact import classify_contact, contact_branch
 from .expr import (DEFAULT_CONFIG, DomainError, Expr, JetPoint, ParseError,
-                   SignConsistencyError, SingularPointError, ZeroConfig,
-                   normalize, parse)
-from .geometry import (NonWunschmannError, RicciZeroError, WeylGateError,
-                       cotton, lorentz_check, metric, weyl_structure)
+                   ZeroConfig, normalize, parse)
+from .expr.poly import tables_mark, tables_rollback
+from .geometry import (RicciZeroError, WeylGateError, cotton, lorentz_check,
+                       metric, weyl_structure)
 from .jet import Ode3, jet_invariants
 from .point import classify_point, point_basic_invariants, point_trivial_check
 from .transform import PointTransform, pullback_ode
@@ -50,6 +49,18 @@ def parse_box(text: str) -> dict:
         if v not in box:
             raise ValueError(f"box is missing variable {v}")
     return box
+
+
+def parse_base(text: str) -> JetPoint:
+    """The --base point x,y,p,q: four finite numbers."""
+    try:
+        vals = [float(s) for s in text.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) != 4 or not all(map(math.isfinite, vals)):
+        raise ValueError(f"--base must be four finite numbers x,y,p,q, "
+                         f"got {text!r}")
+    return JetPoint(*vals)
 
 
 def load_config_file(path: str) -> dict:
@@ -192,7 +203,7 @@ def report_chazy(ode: Ode3, cfg: ZeroConfig, args) -> dict:
             "tau": _jsonable(m.tau),
         }
     if rep.matched and getattr(args, "transform", False):
-        base = JetPoint(*(float(s) for s in args.base.split(",")))
+        base = parse_base(args.base)
         maps = chazy_transform(ode, base, args.c1, args.c2,
                                matched=rep.matched, config=cfg)
         xs = [base.x + 0.05 * i for i in range(-4, 5)]
@@ -224,14 +235,11 @@ def run_report(text: str, cfg: ZeroConfig, group: str = "both",
         report["error"] = _input_error(exc)
         return report, EXIT_PARSE
 
-    soft = (InconclusiveError, SignConsistencyError, SingularPointError,
-            DomainError, ArithmeticError)
-
     def section(name, thunk):
         nonlocal code
         try:
             report[name] = thunk()
-        except soft as exc:
+        except ArithmeticError as exc:
             report[name] = None
             report["diagnostics"][name] = f"{type(exc).__name__}: {exc}"
             code = EXIT_INCONCLUSIVE
@@ -326,6 +334,13 @@ def main(argv=None) -> int:
     try:
         file_opts = load_config_file(args.config) if args.config else {}
         cfg = build_config(args, file_opts)
+        if args.command == "chazy":
+            parse_base(args.base)
+            if not (math.isfinite(args.c1) and args.c1):
+                raise ValueError(f"--c1 must be finite and nonzero, "
+                                 f"got {args.c1}")
+            if not math.isfinite(args.c2):
+                raise ValueError(f"--c2 must be finite, got {args.c2}")
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -340,9 +355,7 @@ def main(argv=None) -> int:
     except (ParseError, UndefinedInputError) as exc:
         print(_input_error(exc), file=sys.stderr)
         return EXIT_PARSE
-    except (NotReducibleError, NonWunschmannError, WeylGateError,
-            RicciZeroError, ChazyTransformError, SingularPointError,
-            DomainError, SignConsistencyError, InconclusiveError) as exc:
+    except ArithmeticError as exc:
         print(json.dumps({"error": str(exc),
                           "kind": type(exc).__name__}, sort_keys=True))
         return EXIT_INCONCLUSIVE
@@ -403,12 +416,14 @@ def _run_single(args, cfg: ZeroConfig) -> int:
 def _run_batch(args, cfg: ZeroConfig) -> int:
     worst = EXIT_OK
     group = "both" if args.group in ("both", "fp") else args.group
+    mark = tables_mark()    # each line parses its own F: see tables_rollback
     with open(args.batch, "r", encoding="utf-8") as fh:
         for line in fh:
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
             rep, code = run_report(text, cfg, group, args)
+            tables_rollback(mark)
             print(json.dumps(rep, sort_keys=True))
             worst = max(worst, code)
     return worst

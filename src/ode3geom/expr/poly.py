@@ -63,35 +63,10 @@ class ZeroBaseError(SingularPointError):
     still serve the others."""
 
 
-class _CFrac(Fraction):
-    """Fraction with a cached hash; instances are interned so that tuple
-    comparisons hit the identity fast path."""
-
-    __slots__ = ("_chash",)
-
-    def __hash__(self):
-        try:
-            return self._chash
-        except AttributeError:
-            h = Fraction.__hash__(self)
-            self._chash = h
-            return h
-
-
-_EXP_INTERN: dict = {}
-
-
 def _exp_norm(e: Coeff) -> Coeff:
-    if type(e) is int:
+    if type(e) is int or e.denominator != 1:
         return e
-    if e.denominator == 1:
-        return e.numerator
-    key = (e.numerator, e.denominator)
-    c = _EXP_INTERN.get(key)
-    if c is None:
-        c = _CFrac(e)
-        _EXP_INTERN[key] = c
-    return c
+    return e.numerator
 
 
 def _exp_den(e: Coeff) -> int:
@@ -1334,6 +1309,21 @@ def drf(rf: RF, v: int) -> RF:
         out = _rescaled(out.c * rf.c, out)
     _drf_cache[key] = out
     return out
+
+
+def tables_mark() -> tuple:
+    """The lengths of the tables that outlive a call: atoms and derivatives."""
+    return len(_atom_payload), len(_datom_cache), len(_drf_cache)
+
+
+def tables_rollback(mark: tuple) -> None:
+    """Drop every atom and derivative entry made since mark, also one keyed
+    by older atoms only: its value may hold a newer atom (d|u| makes sgn u).
+    Use it only where nothing built before the mark is used after it."""
+    del _atom_payload[mark[0]:]
+    for table, n in zip((_atom_ids, _datom_cache, _drf_cache), mark):
+        while len(table) > n:
+            table.popitem()
 
 
 # -------------------------------------------- forward-mode dual evaluation

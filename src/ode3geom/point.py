@@ -226,16 +226,11 @@ def point_coframe_fqqq(ode: Ode3) -> Coframe:
 
 @per_ode
 def point_reduced_fqqq(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> dict:
-    """Structure coefficients of the F_qqq-branch coframe (all 24 slots,
-    plus the three named invariants of the classification)."""
-    cof = point_coframe_fqqq(ode)
-    slots = _decompose_all(cof, config)
-    named = {f"T{i + 1}_{a}{b}": slots[i][PAIR[(a, b)]]
-             for i in range(4) for (a, b) in PAIR}
-    named["I9p"] = slots[0][PAIR[(1, 2)]]
-    named["I10p"] = slots[0][PAIR[(1, 4)]]
-    named["I11p"] = slots[1][PAIR[(1, 4)]]
-    return named
+    """Structure coefficients of the F_qqq-branch coframe: all 24 slots,
+    named T{i}_{ab}."""
+    slots = _decompose_all(point_coframe_fqqq(ode), config)
+    return {f"T{i + 1}_{a}{b}": slots[i][PAIR[(a, b)]]
+            for i in range(4) for (a, b) in PAIR}
 
 
 # ---------------------------------------------------------- classification
@@ -286,7 +281,7 @@ def _classify_point_w0(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
         same = q3.F.rf == F.rf
         rep_vals = vals if same else point_reduced_fqqq(q3, config)
         diag = {}
-        for key in sorted(k for k in rep_vals if k.startswith("T")):
+        for key in sorted(rep_vals):
             const = is_constant(rep_vals[key], config)
             if not same and const != is_constant(vals[key], config):
                 break

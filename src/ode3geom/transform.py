@@ -9,19 +9,13 @@ from typing import Union
 
 from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, from_rf, is_zero,
                    normalize, num, parse, partial, var)
-from .jet import Ode3
+from .jet import Ode3, total_derivative
 
 Y3 = var("Y3")   # the third-derivative slot carried through prolongation
 
 
 class DegenerateTransformError(ArithmeticError):
     pass
-
-
-def _free_D(e: Expr) -> Expr:
-    """Total derivative carrying y''' as the free symbol Y3."""
-    return (partial(e, "x") + var("p") * partial(e, "y")
-            + var("q") * partial(e, "p") + Y3 * partial(e, "q"))
 
 
 @dataclass(frozen=True)
@@ -79,15 +73,15 @@ def prolong(t: Transform, config: ZeroConfig = DEFAULT_CONFIG) -> tuple:
 
     ybar''' is affine in the symbol Y3.
     """
-    dchi = _free_D(t.chi)
+    dchi = total_derivative(t.chi, Y3)    # y''' carried as the symbol Y3
     if is_zero(dchi, config=config).is_zero:
         raise DegenerateTransformError("D(chi) vanishes on the domain")
     if isinstance(t, PointTransform):
-        y1 = from_rf((_free_D(t.phi) / dchi).rf)
+        y1 = from_rf((total_derivative(t.phi, Y3) / dchi).rf)
     else:
         y1 = t.psi
-    y2 = from_rf((_free_D(y1) / dchi).rf)
-    y3 = from_rf((_free_D(y2) / dchi).rf)
+    y2 = from_rf((total_derivative(y1, Y3) / dchi).rf)
+    y3 = from_rf((total_derivative(y2, Y3) / dchi).rf)
     return y1, y2, y3
 
 

@@ -8,8 +8,13 @@ import pytest
 
 from ode3geom.cli import main, parse_box, run_report
 from ode3geom.expr import DEFAULT_CONFIG
+from test_golden import CASES
 
 BOX_CHAZY = "x:-1:1,y:0.5:1.5,p:0.5:2,q:0.5:2"
+
+
+# the table inputs sampled on the default box
+DEFAULT_BOX_INPUTS = [text for _stem, text, box in CASES if box is None]
 
 
 def run_cli(args, capsys):
@@ -196,6 +201,25 @@ class TestChazy:
         assert err["kind"] == "ChazyTransformError"
         assert "Q = 0" in err["error"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--c1", "0"], "--c1 must be finite and nonzero, got 0.0"),
+        (["--c1", "inf"], "--c1 must be finite and nonzero, got inf"),
+        (["--c2", "nan"], "--c2 must be finite, got nan"),
+        (["--base", "0,1,0"],
+         "--base must be four finite numbers x,y,p,q, got '0,1,0'"),
+        (["--base", "0,1,0,nan"],
+         "--base must be four finite numbers x,y,p,q, got '0,1,0,nan'"),
+        (["--base", "0,one,0,0"],
+         "--base must be four finite numbers x,y,p,q, got '0,one,0,0'"),
+    ], ids=("c1-zero", "c1-inf", "c2-nan", "base-short", "base-nan",
+            "base-word"))
+    def test_bad_transform_option_exits_1(self, capsys, flags, message):
+        code = main(["chazy", "--ode", "-2*y*q - 2*p^2", "--transform"]
+                    + flags)
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == f"config error: {message}\n"
+
 
 class TestPullback:
     def test_swap(self, capsys):
@@ -203,6 +227,13 @@ class TestPullback:
                              "--phi", "x"], capsys)
         assert code == 0
         assert out.strip() == "3*q^2*p^(-1)"
+
+    def test_degenerate_transform_exits_2_with_its_kind(self, capsys):
+        # x -> x, y -> x: the new y is not a function of the old ones
+        code, out = run_cli(["pullback", "--ode", "q", "--chi", "x",
+                             "--phi", "x"], capsys)
+        assert code == 2
+        assert json.loads(out)["kind"] == "DegenerateTransformError"
 
     @pytest.mark.parametrize("flag,other", [("--chi", "--phi"),
                                             ("--phi", "--chi")])
@@ -278,24 +309,24 @@ class TestBatchAndReport:
     def test_batch_order_keeps_the_bytes(self, tmp_path):
         """q^(7/4) prints the same line after exp(q) as before it (the
         batch once printed I1 = 1.1547005383792515 in one order and ...512
-        in the other).  Batch order can still move bytes at other seeds:
-        see the next test."""
+        in the other)."""
         lines = _batch_lines(tmp_path, ["exp(q)", "q^(7/4)"])
         assert len(lines["q^(7/4)"]) == 1
         assert len(lines["exp(q)"]) == 1
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "atom ids follow first use in the process, and they order sampled "
-        "sums and printed factors; ROADMAP direction 2 (engine state that "
-        "belongs to one item) mends it"))
-    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("seed, text", [
+        (1, "q^(7/4)"), (2, "(q^2+1)^(3/2)*exp(atan(q)/2)")], ids=("1", "2"))
     def test_batch_order_keeps_the_bytes_at_seeds_1_and_2(self, tmp_path,
-                                                          seed):
-        # at the default seed 42 the two orders match
-        lines = _batch_lines(tmp_path, ["q^(7/4)",
-                                        "(q^2+1)^(3/2)*exp(atan(q)/2)"],
-                             seed)
+                                                          seed, text):
+        """Each batch line is its cold report, in either order: atom ids,
+        which order sampled sums and printed factors, restart per line."""
+        lines = _batch_lines(tmp_path, DEFAULT_BOX_INPUTS, seed)
         assert all(len(printed) == 1 for printed in lines.values())
+        proc = subprocess.run(
+            [sys.executable, "-m", "ode3geom.cli", "report", "--json",
+             "--ode", text, "--seed", str(seed)],
+            capture_output=True, text=True)
+        assert lines[text] == {proc.stdout.rstrip("\n")}
 
     def test_undefined_f_is_an_input_error(self, capsys):
         for text in ("1/0", "1/(q-q)", "0^(-1)", "(-4)^(1/2)",

@@ -11,8 +11,8 @@ from ode3geom.expr import poly
 from ode3geom.expr import (DEFAULT_CONFIG, DomainError, JetPoint, ParseError,
                            PartialDraws, SignConsistencyError,
                            SingularPointError, ZeroConfig, ZeroVerdict, abs_,
-                           add, atan, eval_at, eval_tree_dual, exp, is_zero,
-                           log, normalize, num, parse, partial,
+                           add, atan, eval_at, eval_tree_dual, exp, from_rf,
+                           is_zero, log, normalize, num, parse, partial,
                            partial_is_zero, pow_, sample_points, sgn,
                            sign_on_domain, values_on_samples, var)
 
@@ -928,6 +928,30 @@ class TestDerivativeKernel:
         # d num and d num / den, then per factor f: f', num * f', the term
         # num * f' / (den * f) and its sum into the result
         assert len(makes) == 2 + 4 * k and divided == []
+
+
+class TestTablesRollback:
+    def test_drops_what_an_older_atom_made(self):
+        u = parse("abs(q^3 + 11*p*y - 5)").rf
+        (aid, _e), = next(iter(u.num))
+        q = poly.var_atom("q")
+        poly._datom_cache.pop((aid, q), None)
+        poly._drf_cache.pop((u.key(), q), None)
+        sgn_key = (poly.KERN, ("sgn", poly._atom_payload[aid][1][1].key()))
+        assert sgn_key not in poly._atom_ids
+        mark = poly.tables_mark()
+        want = str(from_rf(poly.drf(u, q)))
+        # d|u| = sgn(u) du: a new atom and entries keyed by the older one
+        assert sgn_key in poly._atom_ids
+        assert (aid, q) in poly._datom_cache
+        assert (u.key(), q) in poly._drf_cache
+        poly.tables_rollback(mark)
+        assert poly.tables_mark() == mark
+        assert len(poly._atom_ids) == mark[0]
+        assert sgn_key not in poly._atom_ids
+        assert (aid, q) not in poly._datom_cache
+        assert (u.key(), q) not in poly._drf_cache
+        assert str(from_rf(poly.drf(u, q))) == want
 
 
 # exponents of one atom in one random term: negative, fractional, and an

@@ -2,12 +2,14 @@
 
 _make must be a fixed point of its own output, and a rational constant
 times such an output (which skips _make) must equal what _make builds from
-the product.  _make's one cancellation pass returns term for term what the
-pairwise reduction returns, and its integer images never reject a divisor.
+the product.  _make hands _cancel no negative exponent, and on such inputs
+its one cancellation pass returns term for term what the pairwise
+reduction returns; its integer images never reject a divisor.
 dpoly and drf return term for term what the Fraction-coefficient grouping
 and the chained quotient rule return.  Needs hypothesis; skipped without
 it."""
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -108,12 +110,30 @@ def _terms_with(exps, min_size, max_size):
     return st.lists(term, min_size=min_size, max_size=max_size)
 
 
-# fractional exponents, and a negative one in a term that a factor may
-# gain; none in the cofactor, as _make clears them from num, so that
-# quotients exist
+@settings(max_examples=150, deadline=None)
+@given(POLY, POLY, POLY, POLY)
+def test_cancel_gets_no_negative_exponent(a, b, c, d):
+    """_make clears negative exponents before it calls _cancel, so the draws
+    of the next test, which have none, are all that _cancel can get."""
+    seen = []
+    inner = poly._cancel
+
+    def spy(num, den):
+        seen.append((num, *(f for _k, f, _e in den)))
+        return inner(num, den)
+    with mock.patch.object(poly, "_cancel", spy):
+        A, B, C, D = map(_rf, (a, b, c, d))
+        if not (B.is_zero_poly() or (B + C).is_zero_poly()
+                or D.is_zero_poly()):
+            _ = A * B / (B + C), (A * D + C) / (D * (B + C)), A / D - C / B
+    assert all(e > 0 for polys in seen for p in polys for m in p
+               for _aid, e in m)
+
+
+# fractional exponents and no negative ones, as _make hands _cancel
 NONNEG = st.sampled_from([0, 0, 1, 2, Fraction(1, 2)])
-FACTOR = st.tuples(_terms_with(NONNEG, 2, 3), st.booleans(),
-                   st.integers(1, 3), st.integers(0, 3))
+FACTOR = st.tuples(_terms_with(NONNEG, 2, 3), st.integers(1, 3),
+                   st.integers(0, 3))
 
 
 @settings(max_examples=150, deadline=None)
@@ -123,13 +143,11 @@ FACTOR = st.tuples(_terms_with(NONNEG, 2, 3), st.booleans(),
 def test_cancel_pass_matches_pairwise_reduction(factors, cofactor, shared,
                                                 noise, guard, halve):
     """Repeated factors (num holds up to f^3 against f^e), a factor that
-    shares a factor with another, fractional and negative exponents, a
-    term that breaks divisibility, Fraction coefficients (not screened),
-    and a step guard small enough to leave divisions undecided."""
+    shares a factor with another, fractional exponents, a term that breaks
+    divisibility, Fraction coefficients (not screened), and a step guard
+    small enough to leave divisions undecided."""
     fs = []
-    for terms, negative, e, power in factors:
-        if negative:
-            terms = [*terms, (1, {"x": -1})]
+    for terms, e, power in factors:
         _c, f = poly.poly_primitive(_raw_poly(terms) or {poly.MONE: 1})
         fs.append([f, e, power])
     if shared and len(fs) > 1:
