@@ -2,7 +2,7 @@
 snapping, and constant-tuple comparison against canonical representatives."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -56,45 +56,40 @@ def run_classifier(group: str, classify, ode, config: ZeroConfig
                                     diagnostics={"reason": str(exc)})
 
 
-def rep_verdict(ode, rep, verify, row: str, config: ZeroConfig):
-    """verify(rep, rep_config(row, config)), the comparison of the input
-    ode's candidate row with its canonical representative rep, run on ode
-    itself when rep has its F: True or False, None without a
-    representative, or the ArithmeticError that kept the comparison from
-    being completed."""
-    if rep is None:
-        return None
-    try:
-        return verify(ode if rep.F.rf == ode.F.rf else rep,
-                      rep_config(row, config))
-    except ArithmeticError as exc:
-        return exc
-
-
-def table_row(group: str, row: str, mu, verdict,
-              **fields) -> ClassificationResult:
+def table_row(group: str, row: str, mu, verify, ode, rep,
+              config: ZeroConfig, **fields) -> ClassificationResult:
     """A dimension-4 table row with its parameter mu, snapped to a small
-    rational when one is close, and the rep_verdict on it.
+    rational when one is close, confirmed by verify(rep, rep_config(row,
+    config)), the comparison of the input ode's tuple with that of the
+    row's canonical representative rep.
 
-    True keeps the row; False demotes it to "general" with the reason; an
-    ArithmeticError keeps the row and marks it inconclusive; None, no
+    verify runs on ode itself when rep has its F, so that a tuple ode
+    already took on an equal config is read back, not sampled again.  A
+    match keeps the row; a mismatch demotes it to "general" with the
+    reason; an ArithmeticError that keeps the comparison from being
+    completed keeps the row and marks it inconclusive; rep None, no
     representative, leaves the row unconfirmed."""
     result = ClassificationResult(group=group, row=row, dimension=4,
                                   **fields)
     if mu is not None:
         ms = snap_rational(mu)
         result.parameters["mu"] = ms if ms is not None else mu
-    if isinstance(verdict, ArithmeticError):
+    if rep is None:
+        return result
+    try:
+        verdict = verify(ode if rep.F.rf == ode.F.rf else rep,
+                         rep_config(row, config))
+    except ArithmeticError as exc:
         result.inconclusive = True
         result.diagnostics.update(
             tuple_verified=None,
-            reason=f"representative check inconclusive: {verdict}")
-    elif verdict is not None:
-        result.diagnostics["tuple_verified"] = verdict
-        if not verdict:
-            result.row, result.dimension = "general", None
-            result.diagnostics["reason"] = \
-                "candidate tuple differs from canonical representative"
+            reason=f"representative check inconclusive: {exc}")
+        return result
+    result.diagnostics["tuple_verified"] = verdict
+    if not verdict:
+        result.row, result.dimension = "general", None
+        result.diagnostics["reason"] = \
+            "candidate tuple differs from canonical representative"
     return result
 
 
@@ -182,22 +177,24 @@ def snap_rational(x: float, max_den: int = 64) -> Optional[Fraction]:
 
 
 def rep_config(row: str, config: ZeroConfig) -> ZeroConfig:
-    """Sample boxes keeping canonical representatives real and guarded."""
-    box = dict(config.box)
-    if row == "VIII":
-        box.update(y=(0.8, 1.0), p=(0.5, 0.7), q=(1.2, 2.0))
-    elif row == "VII":
-        box.update(p=(0.5, 0.8))
-    elif row == "IX":
-        box.update(p=(0.5, 0.9), q=(1.2, 2.0))
-    return replace(config, box=box)
+    """The config on which row's canonical representative is sampled:
+    config's seed, samples and tol on the row's own box, where the
+    representative is real and guarded.  The compared invariants are
+    constants, so the box does not change them."""
+    box = dict(DEFAULT_CONFIG.box, **{
+        "VII": {"p": (0.5, 0.8)},
+        "VIII": {"y": (0.8, 1.0), "p": (0.5, 0.7), "q": (1.2, 2.0)},
+        "IX": {"p": (0.5, 0.9), "q": (1.2, 2.0)}}.get(row, {}))
+    return ZeroConfig(seed=config.seed, samples=config.samples,
+                      tol=config.tol, box=box)
 
 
-def tuples_match(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(abs(x - y) <= MATCH_TOL * (1.0 + abs(x) + abs(y))
-               for x, y in zip(a, b))
+def tuples_match(a: dict, b: dict) -> bool:
+    """Two named tuples of sampled constants match: the same names, and
+    values within MATCH_TOL."""
+    return a.keys() == b.keys() and all(
+        abs(a[k] - b[k]) <= MATCH_TOL * (1.0 + abs(a[k]) + abs(b[k]))
+        for k in a)
 
 
 def require(verdict, what: str) -> bool:

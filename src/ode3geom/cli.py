@@ -44,6 +44,9 @@ def parse_box(text: str) -> dict:
             raise ValueError(f"box variable {name!r} is not one of x, y, p, q")
         if not all(map(math.isfinite, bounds)):
             raise ValueError(f"box bounds for {name} must be finite")
+        if bounds[0] >= bounds[1]:
+            raise ValueError(f"box bounds for {name} must have lo < hi, "
+                             f"got {lo.strip()}:{hi.strip()}")
         box[name] = bounds
     for v in JET:
         if v not in box:
@@ -63,6 +66,9 @@ def parse_base(text: str) -> JetPoint:
     return JetPoint(*vals)
 
 
+CONFIG_KEYS = ("seed", "samples", "tol", "box")
+
+
 def load_config_file(path: str) -> dict:
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -73,6 +79,9 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}, not one of "
+                                 f"{', '.join(CONFIG_KEYS)}")
             out[key] = val
     return out
 

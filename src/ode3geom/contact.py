@@ -9,8 +9,8 @@ from fractions import Fraction as F3
 from typing import Optional
 
 from .classify import (ClassificationResult, InconclusiveError, const_value,
-                       constant_parameter, is_constant, rep_verdict,
-                       require, run_classifier, snap_rational, table_row,
+                       constant_parameter, is_constant, require,
+                       run_classifier, snap_rational, table_row,
                        tuples_match)
 from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, abs_, atan, exp, is_zero,
                    normalize, num, pow_, sign_on_domain, var)
@@ -398,19 +398,27 @@ def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
             evidence=[f"case {red.case} reduction"
                       + ("" if wnz else " (W=0)")],
             diagnostics={"constancy": red.constancy})
-    vals = {nm: const_value(ex, config) for nm, ex in red.I.items()}
+    tup = reduced_tuple(ode, config)
+    vals = {nm: tup[nm] for nm in red.I}
     found = (_row_w_nonzero if wnz else _row_w0)(red.eps, vals)
     if isinstance(found, str):
         return ClassificationResult(
             group="contact", row="general",
-            diagnostics={"reason": found, "eps1" if wnz else "eps2": red.eps,
-                         **vals})
+            diagnostics={"reason": found, **tup})
     row, mu, rep, evidence = found
-    verdict = rep_verdict(
-        ode, rep, lambda r, cfg: _verify_against_rep(red.eps, vals, r, cfg),
-        row, config)
-    return table_row("contact", row, mu, verdict, evidence=evidence,
-                     diagnostics=dict(vals))
+    return table_row("contact", row, mu,
+                     lambda r, cfg: _verify_against_rep(tup, r, cfg),
+                     ode, rep, config, evidence=evidence, diagnostics=vals)
+
+
+@per_ode
+def reduced_tuple(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> dict:
+    """The sampled constants that a table row is read from and compared
+    by: epsilon (eps1 for W != 0, eps2 for W = 0) and the value of each
+    reduced invariant; taken once per config."""
+    red = invariants_reduced(ode, config)
+    return {"eps1" if red.branch == W_NONZERO else "eps2": red.eps,
+            **{nm: const_value(ex, config) for nm, ex in red.I.items()}}
 
 
 def _row_w_nonzero(eps: int, vals: dict):
@@ -490,15 +498,10 @@ def w0_rep(row: str, mu: Optional[float]) -> Optional[Ode3]:
                       + 3 * q * q / p + p ** 3)}[row]()))
 
 
-def _verify_against_rep(eps: int, vals: dict, rep: Ode3,
-                        config: ZeroConfig) -> bool:
-    """Match of the input's epsilon and sampled invariants vals with the
-    representative's, sampled on config's box; may raise ArithmeticError."""
-    rred = invariants_reduced(rep, config)
-    if rred.eps != eps:
-        return False
-    return tuples_match(list(vals.values()),
-                        [const_value(e, config) for e in rred.I.values()])
+def _verify_against_rep(tup: dict, rep: Ode3, config: ZeroConfig) -> bool:
+    """Match of the input's reduced_tuple with the representative's on
+    config; may raise ArithmeticError."""
+    return tuples_match(tup, reduced_tuple(rep, config))
 
 
 # ---------------------------------------------------------- linearizability

@@ -8,8 +8,8 @@ from fractions import Fraction as F3
 from typing import Optional
 
 from .classify import (ClassificationResult, const_value, constant_parameter,
-                       is_constant, rep_verdict, require, run_classifier,
-                       snap_rational, table_row, tuples_match)
+                       is_constant, require, run_classifier, snap_rational,
+                       table_row, tuples_match)
 from .contact import (PAIR, _decompose_all, _mu_of_x, _plain_omegas,
                       _z_data, bas_a, w0_rep)
 from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, is_zero, normalize, num,
@@ -165,7 +165,10 @@ def point_reduced_w_nonzero(ode: Ode3) -> dict:
 
 @per_ode
 def point_reduced_w4d(ode: Ode3) -> dict:
-    """I5p..I8p for W = 0, F_qqqq != 0 (identity-section formulas)."""
+    """I5p, I7p and I8p for W = 0, F_qqqq != 0 (identity-section formulas).
+
+    I6p as printed fails constancy even on the canonical members, so the
+    gate reads these three and I6p is not built."""
     F = ode.F
     K = klmw(ode).K
     Fq, Fqq = pd(F, "q"), pd(F, "q", "q")
@@ -175,9 +178,6 @@ def point_reduced_w4d(ode: Ode3) -> dict:
     N = normalize(pd(F, "q", "q", "p") + F3(1, 6) * Fqq * Fqq
                   + F3(1, 3) * F3q * Fq)
     i5 = normalize(F3q * F5q / (F4q * F4q))
-    i6 = normalize(F4q * (F3(8, 3) * F4q - 12 * F3q * pd(K, "q", "q", "q")
-                          + F3(5, 9) * F4q * Fqq * Fqq
-                          + 20 * F4q * pd(K, "q", "q")) / F3q ** 4)
     i7 = normalize(F4q * (6 * pd(N, "q") * F3q - 6 * N * F4q
                           + Fqq * F3q * F3q) / F3q ** 4)
     i8 = normalize(F3(-2, 27) * F4q ** 4
@@ -185,7 +185,7 @@ def point_reduced_w4d(ode: Ode3) -> dict:
                       - 9 * N * N - Fqq * Fqq * N
                       - 36 * pd(K, "q", "q") * N - 6 * F3q * F3q * K)
                    / F3q ** 8)
-    return {"I5p": i5, "I6p": i6, "I7p": i7, "I8p": i8}
+    return {"I5p": i5, "I7p": i7, "I8p": i8}
 
 
 def reduced_point_coframe(ode: Ode3, u1: Expr, u2: Expr, u3: Expr,
@@ -224,13 +224,29 @@ def point_coframe_fqqq(ode: Ode3) -> Coframe:
     return reduced_point_coframe(ode, u1, u2, u3, u8)
 
 
-@per_ode
 def point_reduced_fqqq(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> dict:
     """Structure coefficients of the F_qqq-branch coframe: all 24 slots,
     named T{i}_{ab}."""
     slots = _decompose_all(point_coframe_fqqq(ode), config)
     return {f"T{i + 1}_{a}{b}": slots[i][PAIR[(a, b)]]
             for i in range(4) for (a, b) in PAIR}
+
+
+@per_ode
+def point_tuple(ode: Ode3, family: str,
+                config: ZeroConfig = DEFAULT_CONFIG) -> dict:
+    """The sampled constants that a point table row is read from and
+    compared by, taken once per family and config: I1p..I4p for "W!=0",
+    I5p, I7p and I8p for "W=0", and for "F_qqq" the F_qqq-branch slots
+    that are constant."""
+    if family == "F_qqq":
+        slots = point_reduced_fqqq(ode, config)
+        exprs = {k: slots[k] for k in sorted(slots)
+                 if is_constant(slots[k], config)}
+    else:
+        exprs = (point_reduced_w_nonzero if family == "W!=0"
+                 else point_reduced_w4d)(ode)
+    return {k: const_value(e, config) for k, e in exprs.items()}
 
 
 # ---------------------------------------------------------- classification
@@ -250,7 +266,6 @@ def _classify_point(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
 
 
 def _classify_point_w0(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
-    F = ode.F
     conds = point_trivial_verdicts(ode, config)
     if require(conds["F_qqq"], "F_qqq"):
         rep = point_trivial_check(ode, config, full=True)
@@ -272,45 +287,25 @@ def _classify_point_w0(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
         return ClassificationResult(
             group="point", row=row, dimension=6,
             evidence=["W=0", "F_qqq=0", f"sgn(F_qq^2+6F_qqp)={sign:+d}"])
-    f4z = require(is_zero(pd(F, "q", "q", "q", "q"), config=config), "F_qqqq")
-    if f4z:
-        # branch with F_qqq != 0: compare the constant structure slots of
-        # the reduced coframe with those of q^3 (the input's own if F = q^3)
-        vals = point_reduced_fqqq(ode, config)
-        q3 = Ode3.from_text("q^3")
-        same = q3.F.rf == F.rf
-        rep_vals = vals if same else point_reduced_fqqq(q3, config)
-        diag = {}
-        for key in sorted(rep_vals):
-            const = is_constant(rep_vals[key], config)
-            if not same and const != is_constant(vals[key], config):
-                break
-            if const:
-                rv = const_value(rep_vals[key], config)
-                diag[key] = cv = rv if same else const_value(vals[key], config)
-                if not tuples_match([cv], [rv]):
-                    break
-        else:
-            return ClassificationResult(
-                group="point", row="I.4", dimension=4,
-                evidence=["W=0", "F_qqqq=0", "F_qqq!=0",
-                          "constant coframe slots match q^3"],
-                diagnostics=diag)
-        return ClassificationResult(group="point", row="general",
-                                    evidence=["W=0", "F_qqqq=0", "F_qqq!=0"],
-                                    diagnostics=diag)
-    # W = 0, F_qqqq != 0.  I6p as printed fails constancy even on the
-    # canonical members, so the gate runs on I5p, I7p, I8p.
-    def gate_pipeline(o):
-        v = point_reduced_w4d(o)
-        return {k: v[k] for k in ("I5p", "I7p", "I8p")}
-    gate = gate_pipeline(ode)
-    if not all(is_constant(e, config) for e in gate.values()):
+    if require(is_zero(pd(ode.F, "q", "q", "q", "q"), config=config),
+               "F_qqqq"):
+        # branch with F_qqq != 0: row I.4, whose representative is q^3
+        vals = point_tuple(ode, "F_qqq", config)
+        result = table_row(
+            "point", "I.4", None,
+            lambda r, cfg: _verify_point_rep(vals, r, "F_qqq", cfg),
+            ode, Ode3.from_text("q^3"), config,
+            evidence=["W=0", "F_qqqq=0", "F_qqq!=0"], diagnostics=dict(vals))
+        if result.diagnostics["tuple_verified"]:
+            result.evidence.append("constant coframe slots match q^3")
+        return result
+    if not all(is_constant(e, config)
+               for e in point_reduced_w4d(ode).values()):
         return ClassificationResult(
             group="point", row="general",
             evidence=["W=0", "F_qqqq!=0"],
             diagnostics={"reason": "I5p/I7p/I8p not constant"})
-    nums = {k: const_value(e, config) for k, e in gate.items()}
+    nums = point_tuple(ode, "W=0", config)
     i8 = nums["I8p"]
     if abs(i8 + 1.5) <= 1e-7:
         row, mu = "XII", None
@@ -318,12 +313,10 @@ def _classify_point_w0(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
         row, mu = "VIII", math.sqrt(2.0 / (i8 + 1.5))
     else:
         row, mu = "IX", math.sqrt(-2.0 / (i8 + 1.5))
-    verdict = rep_verdict(
-        ode, w0_rep(row, mu),
-        lambda r, cfg: _verify_point_rep(nums, r, gate_pipeline, cfg),
-        row, config)
     return table_row(
-        "point", row, mu, verdict,
+        "point", row, mu,
+        lambda r, cfg: _verify_point_rep(nums, r, "W=0", cfg),
+        ode, w0_rep(row, mu), config,
         evidence=["W=0", "F_qqqq!=0", f"I8p={i8:.9g}"], diagnostics=dict(nums))
 
 
@@ -357,7 +350,7 @@ def _classify_point_wnz(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
         return ClassificationResult(
             group="point", row="general", evidence=["W!=0"],
             diagnostics={"reason": "I1p..I4p not constant"})
-    nums = {kk: const_value(ex, config) for kk, ex in vals.items()}
+    nums = point_tuple(ode, "W!=0", config)
     i1, i2 = nums["I1p"], nums["I2p"]
     q, p = var("q"), var("p")
     candidates = []
@@ -389,30 +382,27 @@ def _classify_point_wnz(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
                     ("II.3", ms,
                      Ode3(normalize((3 * p + num(ms)) * q * q
                                     / (p * p + 1)))))
-    def verify(rep, cfg):
-        return _verify_point_rep(nums, rep, point_reduced_w_nonzero, cfg)
-
     # the first candidate that matches; else the first one whose check
     # could not be completed
     unsettled = None
     for row, mu, rep in candidates:
-        verdict = rep_verdict(ode, rep, verify, row, config)
-        if verdict is False or (verdict is not True and unsettled):
-            continue
         result = table_row(
-            "point", row, mu, verdict,
+            "point", row, mu,
+            lambda r, cfg: _verify_point_rep(nums, r, "W!=0", cfg),
+            ode, rep, config,
             evidence=["W!=0", f"I1p={i1:.9g}", f"I2p={i2:.9g}"],
             diagnostics=dict(nums))
-        if verdict is True:
+        if result.diagnostics["tuple_verified"]:
             return result
-        unsettled = result
+        if result.inconclusive:
+            unsettled = unsettled or result
     return unsettled or ClassificationResult(
         group="point", row="general", evidence=["W!=0"],
         diagnostics=dict(nums, reason="no canonical representative matches"))
 
 
-def _verify_point_rep(nums: dict, rep: Ode3, pipeline, rep_config) -> bool:
-    """Tuple match with the representative; may raise ArithmeticError."""
-    rvals = pipeline(rep)
-    rnums = [const_value(e, rep_config) for e in rvals.values()]
-    return tuples_match(list(nums.values()), rnums)
+def _verify_point_rep(nums: dict, rep: Ode3, family: str,
+                      config: ZeroConfig) -> bool:
+    """Match of the input's point_tuple nums with the representative's of
+    the same family on config; may raise ArithmeticError."""
+    return tuples_match(nums, point_tuple(rep, family, config))

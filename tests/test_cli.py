@@ -281,21 +281,19 @@ class TestBatchAndReport:
         assert contact["diagnostics"]["reason"] == \
             "abs/sgn argument changes sign on the sample box"
 
-    def test_report_unfinished_rep_check_is_inconclusive(self, capsys):
+    def test_report_rep_check_on_the_rep_box_is_conclusive(self, capsys):
         # exp(q - 800) is exp(q) under y -> y + 400*x^2, so both tables put
-        # it in row VI; on this box exp(q) overflows at every sample, so the
-        # check against that representative cannot be completed
+        # it in row VI; exp(q) overflows at every sample of this box, but
+        # the representative is sampled on a box of its own
         code, out = run_cli(["report", "--ode", "exp(q-800)", "--json",
                              "--box", "x:-1:1,y:-1:1,p:0.5:2,q:800:810"],
                             capsys)
-        assert code == 2
+        assert code == 0
         payload = json.loads(out)
         for group in ("contact", "point"):
             sec = payload[group]
-            assert sec["inconclusive"] is True and sec["row"] == "VI"
-            assert sec["diagnostics"]["tuple_verified"] is None
-            assert sec["diagnostics"]["reason"].startswith(
-                "representative check inconclusive: ")
+            assert sec["inconclusive"] is False and sec["row"] == "VI"
+            assert sec["diagnostics"]["tuple_verified"] is True
 
     def test_batch(self, tmp_path, capsys):
         batch = tmp_path / "odes.txt"
@@ -384,6 +382,9 @@ class TestBatchAndReport:
         ([], "tol = inf\n"),
         ([], "samples = -3\n"),
         ([], "box = x:-1:1,y:-inf:1,p:0.5:2,q:0.5:2\n"),
+        (["--box", "x:0:0,y:-1:1,p:0.5:2,q:0.5:2"], None),
+        (["--box", "x:1:-1,y:-1:1,p:0.5:2,q:0.5:2"], None),
+        ([], "box = x:0:0,y:-1:1,p:0.5:2,q:0.5:2\n"),
     ])
     def test_bad_config_is_a_config_error(self, tmp_path, capsys, flags,
                                           file_text):
@@ -397,6 +398,16 @@ class TestBatchAndReport:
         assert captured.out == ""
         assert "config error" in captured.err
 
+    def test_unknown_config_key_is_named(self, tmp_path, capsys):
+        # a typo is a config error, not a key ignored without a word
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("seed = 3\nsample = 4\n")
+        code = main(["report", "--ode", "q^2 + y", "--config", str(cfgfile)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "config error: unknown config key 'sample'" in captured.err
+
     @pytest.mark.parametrize("text,box", [
         ("(2*q*y - p^2)^(3/2)/y^2", "x:-1:1,y:0.8:1.0,p:0.5:0.7,q:1.2:2.0"),
         ("exp(q)", "x:-1:1,y:-1:1,p:0.5:2,q:0.6:2"),
@@ -404,18 +415,39 @@ class TestBatchAndReport:
         ("-2*x*p", "x:-1:1,y:-1:1,p:0.5:2,q:0.6:2"),
     ])
     def test_report_samples_only_the_config_box(self, monkeypatch, text, box):
+        # the input's own verdicts sample the config box, and the check
+        # against a row's representative only that row's rep_config box
+        from ode3geom import contact, point
+        from ode3geom.classify import rep_config
         from ode3geom.expr import zerotest
         cfg = replace(DEFAULT_CONFIG, box=parse_box(box))
-        boxes = []
+        boxes = {False: [], True: []}
+        checking = [False]
         draw = zerotest.sample_points
 
         def spy(c):
-            boxes.append(c.box)
+            boxes[checking[0]].append(c.box)
             return draw(c)
         monkeypatch.setattr(zerotest, "sample_points", spy)
-        run_report(text, cfg)
-        assert boxes
-        assert [b for b in boxes if b != cfg.box] == []
+        for mod, name in ((contact, "_verify_against_rep"),
+                          (point, "_verify_point_rep")):
+            def check(*args, inner=getattr(mod, name)):
+                checking[0] = True
+                try:
+                    return inner(*args)
+                finally:
+                    checking[0] = False
+            monkeypatch.setattr(mod, name, check)
+        report, _code = run_report(text, cfg)
+        assert boxes[False]
+        assert [b for b in boxes[False] if b != cfg.box] == []
+        rep_boxes = [rep_config(report[g]["row"], cfg).box
+                     for g in ("contact", "point")
+                     if "tuple_verified" in report[g]["diagnostics"]]
+        assert [b for b in boxes[True] if b not in rep_boxes] == []
+        # a representative with the input's F on the input's box is read
+        # back; on another box it is sampled there
+        assert bool(boxes[True]) == any(b != cfg.box for b in rep_boxes)
 
     def test_w_verdict_taken_once_per_report(self, monkeypatch):
         # the branch, the invariants, both classifiers, the point
@@ -487,6 +519,34 @@ class TestBatchAndReport:
 
 
 class TestRepresentativeReuse:
+    def test_no_constant_sampled_twice_in_a_group(self, monkeypatch):
+        # over the table reports at seed 1, each group of a report values
+        # an expression on a config once: a check whose representative is
+        # the input, on an equal config, reads back the input's tuple
+        from ode3geom import classify, cli
+        group, calls = [None], []
+        inner = classify.values_on_samples
+
+        def spy(e, config, n=None):
+            calls.append((group[0], e.rf.key(), config))
+            return inner(e, config, n=n)
+        monkeypatch.setattr(classify, "values_on_samples", spy)
+        for name in ("classify_contact", "classify_point"):
+            def in_group(*args, f=getattr(cli, name), name=name):
+                group[0] = name
+                try:
+                    return f(*args)
+                finally:
+                    group[0] = None
+            monkeypatch.setattr(cli, name, in_group)
+        for stem, text, box in CASES:
+            cfg = replace(DEFAULT_CONFIG, seed=1)
+            if box is not None:
+                cfg = replace(cfg, box=parse_box(box))
+            calls.clear()
+            run_report(text, cfg)
+            assert len(calls) == len(set(calls)), stem
+
     def test_representative_with_the_input_f_is_the_input(self, monkeypatch):
         # contact row IV at mu = 4 has the representative q^(7/4): the
         # check reads the input's own reduced coframe, decomposed once

@@ -87,9 +87,10 @@ print(json.dumps({"out": out, "violations": violations[:5]}))
 @pytest.fixture(scope="module")
 def cold_row_v():
     """One cold report of contact row V, with the 24 structure coefficients
-    of each reduced coframe it reads (the input's, and the
-    representative's, which is the input's own: row V's representative
-    has the input's F) as their numerator term counts."""
+    of each reduced coframe it reads as their numerator term counts: the
+    classifier reads the input's, and so does contact.reduced_tuple, which
+    serves the representative check too (row V's representative has the
+    input's F, and its box is the input's)."""
     return run_fresh("""
 from ode3geom import cli, contact
 from ode3geom.expr import DEFAULT_CONFIG

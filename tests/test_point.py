@@ -149,6 +149,22 @@ class TestClassify:
         assert res.diagnostics["reason"] == (
             "candidate tuple differs from canonical representative")
 
+    def test_row_i4_goes_through_the_same_check(self, monkeypatch):
+        # row I.4 compares its constant F_qqq-branch slots with those of
+        # q^3 and is confirmed, or demoted, like every other row
+        from ode3geom import point
+        res = classify_point(Ode3.from_text("q^3"))
+        assert (res.row, res.diagnostics["tuple_verified"]) == ("I.4", True)
+        assert res.evidence[-1] == "constant coframe slots match q^3"
+        monkeypatch.setattr(point, "_verify_point_rep", lambda *_args: False)
+        res = classify_point(Ode3.from_text("q^3"))
+        assert (res.row, res.dimension, res.inconclusive) == (
+            "general", None, False)
+        assert res.diagnostics["tuple_verified"] is False
+        assert res.diagnostics["reason"] == (
+            "candidate tuple differs from canonical representative")
+        assert "constant coframe slots match q^3" not in res.evidence
+
     def test_contact_rows_dominate_their_point_rows(self):
         # point symmetries embed in contact symmetries, so each contact-row
         # canonical form lands in a point row of equal or smaller dimension
