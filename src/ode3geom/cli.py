@@ -38,15 +38,19 @@ def quad(v) -> dict:
 def parse_box(text: str) -> dict:
     box = {}
     for part in text.split(","):
-        name, lo, hi = part.split(":")
-        name, bounds = name.strip(), (float(lo), float(hi))
+        try:
+            name, lo, hi = (s.strip() for s in part.split(":"))
+            bounds = (float(lo), float(hi))
+        except ValueError:
+            raise ValueError(f"box part {part.strip()!r} is not name:lo:hi "
+                             f"with numbers lo and hi") from None
         if name not in JET:
             raise ValueError(f"box variable {name!r} is not one of x, y, p, q")
         if not all(map(math.isfinite, bounds)):
             raise ValueError(f"box bounds for {name} must be finite")
         if bounds[0] >= bounds[1]:
             raise ValueError(f"box bounds for {name} must have lo < hi, "
-                             f"got {lo.strip()}:{hi.strip()}")
+                             f"got {lo}:{hi}")
         box[name] = bounds
     for v in JET:
         if v not in box:
@@ -87,17 +91,24 @@ def load_config_file(path: str) -> dict:
 
 
 def build_config(args, file_opts: dict) -> ZeroConfig:
-    seed = int(file_opts.get("seed", args.seed))
-    samples = int(file_opts.get("samples", args.samples))
-    tol = float(file_opts.get("tol", args.tol))
+    """A --config file value, else the flag, else DEFAULT_CONFIG's."""
+    vals = {}
+    for key, kind in (("seed", int), ("samples", int), ("tol", float)):
+        raw = file_opts.get(key, getattr(args, key))
+        try:
+            vals[key] = getattr(DEFAULT_CONFIG, key) if raw is None \
+                else kind(raw)
+        except ValueError:
+            raise ValueError(f"config key {key!r} must be {kind.__name__}, "
+                             f"got {raw!r}") from None
+    samples, tol = vals["samples"], vals["tol"]
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     box_text = file_opts.get("box", args.box)
     box = parse_box(box_text) if box_text else dict(DEFAULT_CONFIG.box)
-    return replace(DEFAULT_CONFIG, seed=seed, samples=samples, tol=tol,
-                   box=box)
+    return replace(DEFAULT_CONFIG, box=box, **vals)
 
 
 class UndefinedInputError(ValueError):
@@ -141,18 +152,10 @@ def report_invariants(ode: Ode3, cfg: ZeroConfig) -> dict:
     return out
 
 
-def report_classify(ode: Ode3, cfg: ZeroConfig, group: str,
-                    args=None) -> dict:
-    out = {}
-    if group in ("contact", "both"):
-        out["contact"] = classify_contact(ode, cfg).to_dict()
-    if group in ("point", "both"):
-        out["point"] = classify_point(ode, cfg).to_dict()
-    if group == "fp":
-        # fibre-preserving recognition runs through the Chazy machinery
-        out["fibre_preserving"] = report_chazy(
-            ode, cfg, args or argparse.Namespace(transform=False))
-    return out
+def report_classify(ode: Ode3, cfg: ZeroConfig, group: str) -> dict:
+    return {name: classify(ode, cfg).to_dict() for name, classify in
+            (("contact", classify_contact), ("point", classify_point))
+            if group in (name, "both")}
 
 
 def report_geometry(ode: Ode3, cfg: ZeroConfig) -> dict:
@@ -260,15 +263,14 @@ def run_report(text: str, cfg: ZeroConfig, group: str = "both",
 
     section("branch", branch_section)
     section("invariants", lambda: report_invariants(ode, cfg))
-    if group in ("contact", "both", "fp"):
+    if group in ("contact", "both"):
         section("contact", lambda: classify_contact(ode, cfg).to_dict())
-    if group in ("point", "both", "fp"):
+    if group in ("point", "both"):
         section("point", lambda: classify_point(ode, cfg).to_dict())
     section("point_trivial", lambda: point_trivial_check(ode, cfg))
     if report.get("branch") and report["branch"]["W"] == "zero":
         section("geometry", lambda: report_geometry(ode, cfg))
-    section("chazy", lambda: report_chazy(
-        ode, cfg, args or argparse.Namespace(transform=False)))
+    section("chazy", lambda: report_chazy(ode, cfg, args))
     for name in ("contact", "point"):
         sec = report.get(name)
         if sec and sec.get("inconclusive"):
@@ -294,53 +296,62 @@ def _attach_values(argv: list) -> list:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ValueError: a config error (exit 1), not 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="ode3geom",
         description="Classify third-order ODEs y''' = F(x, y, y', y'') "
                     "up to contact/point/fibre-preserving equivalence.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--ode", "-o", help="right-hand side F, or - for stdin")
-        sp.add_argument("--batch", help="file with one ODE per line")
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--samples", type=int, default=16)
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--box", default=None,
+    def command(name, help, batch=False, group=False):
+        sp = sub.add_parser(name, help=help)
+        src = sp.add_mutually_exclusive_group(required=True) if batch else sp
+        src.add_argument("--ode", "-o", required=not batch,
+                         help="right-hand side F, or - for stdin")
+        if batch:
+            src.add_argument("--batch", help="file with one ODE per line")
+        for key, kind in (("seed", int), ("samples", int), ("tol", float)):
+            sp.add_argument(f"--{key}", type=kind,
+                            help=f"default {getattr(DEFAULT_CONFIG, key)}")
+        sp.add_argument("--box",
                         help='sample box, e.g. "x:-1:1,y:-1:1,p:0.5:2,q:0.5:2"')
         sp.add_argument("--config", help="key=value config file")
         sp.add_argument("--json", action="store_true",
                         help="JSON output (always on for batch)")
-        sp.add_argument("--group", choices=("contact", "point", "both", "fp"),
-                        default="both")
+        if group:
+            sp.add_argument("--group", choices=("contact", "point", "both"),
+                            default="both")
+        return sp
 
-    p_inv = sub.add_parser("invariants", help="K, L, M, W, Z and the basic "
-                                              "point invariants")
-    common(p_inv)
-    p_cls = sub.add_parser("classify", help="table classification")
-    common(p_cls)
-    p_geo = sub.add_parser("geometry", help="conformal/Einstein-Weyl data")
-    common(p_geo)
-    p_chz = sub.add_parser("chazy", help="reduced Chazy recognition")
-    common(p_chz)
+    command("invariants", "K, L, M, W, Z and the basic point invariants")
+    command("classify", "table classification", group=True)
+    command("geometry", "conformal/Einstein-Weyl data")
+    p_chz = command("chazy", "reduced Chazy (fibre-preserving) recognition")
     p_chz.add_argument("--transform", action="store_true")
     p_chz.add_argument("--base", default="0,1,0,0",
                        help="base jet point x,y,p,q")
     p_chz.add_argument("--c1", type=float, default=1.0)
     p_chz.add_argument("--c2", type=float, default=0.0)
-    p_pb = sub.add_parser("pullback", help="pull an ODE back along a point "
-                                           "transformation")
-    common(p_pb)
+    p_pb = command("pullback", "pull an ODE back along a point "
+                               "transformation")
     p_pb.add_argument("--chi", required=True)
     p_pb.add_argument("--phi", required=True)
-    p_rep = sub.add_parser("report", help="full pipeline report")
-    common(p_rep)
+    command("report", "full pipeline report", batch=True, group=True)
+    return parser
 
-    args = parser.parse_args(
-        _attach_values(sys.argv[1:] if argv is None else argv))
+
+def main(argv=None) -> int:
     try:
+        args = _parser().parse_args(
+            _attach_values(sys.argv[1:] if argv is None else argv))
         file_opts = load_config_file(args.config) if args.config else {}
         cfg = build_config(args, file_opts)
         if args.command == "chazy":
@@ -350,16 +361,17 @@ def main(argv=None) -> int:
                                  f"got {args.c1}")
             if not math.isfinite(args.c2):
                 raise ValueError(f"--c2 must be finite, got {args.c2}")
+        batch = getattr(args, "batch", None)
+        if batch is not None:   # read whole: an unreadable file runs no line
+            with open(batch, "r", encoding="utf-8") as fh:
+                batch = fh.readlines()
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    if args.batch:
-        return _run_batch(args, cfg)
-    if not args.ode:
-        print("an --ode is required (or --batch)", file=sys.stderr)
-        return EXIT_PARSE
     try:
+        if batch is not None:
+            return _run_batch(batch, args, cfg)
         return _run_single(args, cfg)
     except (ParseError, UndefinedInputError) as exc:
         print(_input_error(exc), file=sys.stderr)
@@ -375,66 +387,52 @@ def main(argv=None) -> int:
 
 
 def _emit(payload: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True))
-        return
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(payload, sort_keys=True, indent=None if as_json else 2))
 
 
 def _run_single(args, cfg: ZeroConfig) -> int:
-    group = "both" if args.group in ("both", "fp") else args.group
+    if args.command == "report":
+        rep, code = run_report(args.ode, cfg, args.group, args)
+        _emit(rep, args.json)
+        return code
+    ode = _read_ode(args.ode)
     if args.command == "invariants":
-        ode = _read_ode(args.ode)
         _emit(report_invariants(ode, cfg), args.json)
         return EXIT_OK
     if args.command == "classify":
-        ode = _read_ode(args.ode)
-        payload = report_classify(ode, cfg,
-                                  args.group if args.group == "fp"
-                                  else group, args)
+        payload = report_classify(ode, cfg, args.group)
         _emit(payload, args.json)
-        inconclusive = any(sec.get("inconclusive")
-                           for sec in payload.values()
-                           if isinstance(sec, dict))
+        inconclusive = any(sec["inconclusive"] for sec in payload.values())
         return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
     if args.command == "geometry":
-        ode = _read_ode(args.ode)
         payload = report_geometry(ode, cfg)
         _emit(payload, args.json)
         return EXIT_INCONCLUSIVE if payload.get("error") else EXIT_OK
     if args.command == "chazy":
-        ode = _read_ode(args.ode)
         _emit(report_chazy(ode, cfg, args), args.json)
         return EXIT_OK
-    if args.command == "pullback":
-        ode = _read_ode(args.ode)
-        t = PointTransform(_read_expr("chi", args.chi),
-                           _read_expr("phi", args.phi))
-        out = pullback_ode(ode, t, cfg)
-        if args.json:
-            _emit({"F": sym(out.F)}, True)
-        else:
-            print(normalize(out.F))
-        return EXIT_OK
-    # report
-    rep, code = run_report(args.ode, cfg, group, args)
-    _emit(rep, args.json)
-    return code
+    # pullback
+    t = PointTransform(_read_expr("chi", args.chi),
+                       _read_expr("phi", args.phi))
+    out = pullback_ode(ode, t, cfg)
+    if args.json:
+        _emit({"F": sym(out.F)}, True)
+    else:
+        print(normalize(out.F))
+    return EXIT_OK
 
 
-def _run_batch(args, cfg: ZeroConfig) -> int:
+def _run_batch(lines: list, args, cfg: ZeroConfig) -> int:
     worst = EXIT_OK
-    group = "both" if args.group in ("both", "fp") else args.group
     mark = tables_mark()    # each line parses its own F: see tables_rollback
-    with open(args.batch, "r", encoding="utf-8") as fh:
-        for line in fh:
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            rep, code = run_report(text, cfg, group, args)
-            tables_rollback(mark)
-            print(json.dumps(rep, sort_keys=True))
-            worst = max(worst, code)
+    for line in lines:
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        rep, code = run_report(text, cfg, args.group, args)
+        tables_rollback(mark)
+        _emit(rep, True)
+        worst = max(worst, code)
     return worst
 
 

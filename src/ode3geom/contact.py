@@ -4,7 +4,7 @@ table, linearizability, and contact-projective data."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as F3
 from typing import Optional
 
@@ -220,13 +220,13 @@ def _u_w4d(ode: Ode3, config: ZeroConfig) -> tuple:
     disc1 = normalize(2 * Lqq * Fq4 - 3 * Kqqq * Kqqq)
     if require(is_zero(disc1, config=config), "W4d case-1 discriminant") is False:
         u = normalize(pow_(9 * Lqq - F3(27, 2) * Kqqq * Kqqq / Fq4, F3(1, 3)))
-        return 1, u, disc1
+        return 1, u
     Fq5 = pd(F, "q", "q", "q", "q", "q")
     disc2 = normalize(5 * pd(F, "q", "q", "q", "q", "q", "q") * Fq4
                       - 6 * Fq5 * Fq5)
     if require(is_zero(disc2, config=config), "W4d case-2 discriminant") is False:
         u = normalize(25 * Fq4 ** 3 / disc2)
-        return 2, u, disc1
+        return 2, u
     u = normalize(pd(F, "q", "q") / 3
                   + (F3(18, 5) * pd(K, "q", "q", "q", "q")
                      + F3(2, 5) * pd(F, "q", "q", "q", "q", "p")
@@ -234,7 +234,7 @@ def _u_w4d(ode: Ode3, config: ZeroConfig) -> tuple:
                   - F3(12, 5) * Fq5 * Kqqq / (Fq4 * Fq4))
     if require(is_zero(u, config=config), "W4d case-3 quantity"):
         raise NotApplicableError("all W4d reduction quantities vanish")
-    return 3, u, disc1
+    return 3, u
 
 
 def w4d_coframe(ode: Ode3, u: Expr) -> Coframe:
@@ -266,8 +266,6 @@ class ContactCoframeInvariants:
     eps: int                 # epsilon_1 (W != 0) or epsilon_2 (W = 0)
     I: dict                  # {"I1": Expr, ...} per branch
     slots: dict              # all decomposed structure coefficients
-    constancy: dict          # name -> bool
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _decompose_all(cof: Coframe, config: ZeroConfig) -> list:
@@ -305,7 +303,7 @@ def invariants_reduced(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG
                 "b = e = h = k = 0: linearizable, no coframe reduction")
         cof = nonwunschmann_coframe(ode, _u_nonwunschmann(ode, case, config))
     else:  # W = 0, F_qqqq != 0
-        case, u, disc1 = _u_w4d(ode, config)
+        case, u = _u_w4d(ode, config)
         cof = w4d_coframe(ode, u)
     checks, names, (eps_slot, eps_label) = _SLOT_TABLE[br.branch]
     coeffs = _decompose_all(cof, config)
@@ -321,26 +319,8 @@ def invariants_reduced(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG
         eps = 0
     else:
         eps = sign_on_domain(eps_expr, config=config)
-    if br.branch == W_NONZERO:
-        W = klmw(ode).W
-        Wq = pd(W, "q")
-        eps_direct = normalize(2 * Wq * Wq - 3 * W * pd(W, "q", "q"))
-        diagnostics = {
-            "eps1_sign_formula": sign_on_domain(eps_direct, config=config)}
-    else:
-        eps_sq = sign_on_domain(disc1, config=config)
-        F = ode.F
-        inv = klmw(ode)
-        K, L = inv.K, inv.L
-        cubed = normalize(2 * pd(F, "q", "q", "q", "q") * pd(L, "q", "q")
-                          - 3 * pd(K, "q", "q", "q") ** 3)
-        diagnostics = {
-            "eps2_sign_squared": eps_sq,
-            "eps2_sign_cubed_variant": sign_on_domain(cubed, config=config)}
-    return ContactCoframeInvariants(
-        branch=br.branch, case=case, eps=eps, I=I, slots=slots,
-        constancy={nm: is_constant(ex, config) for nm, ex in I.items()},
-        diagnostics=diagnostics)
+    return ContactCoframeInvariants(branch=br.branch, case=case, eps=eps,
+                                    I=I, slots=slots)
 
 
 # ---------------------------------------------------------- classification
@@ -392,12 +372,13 @@ def _classify_contact(ode: Ode3, config: ZeroConfig) -> ClassificationResult:
                 evidence=["W!=0", "b=e=h=k=0", "a nonconstant"],
                 diagnostics={"a_is_x_only": _mu_of_x(a, config)})
     red = invariants_reduced(ode, config)
-    if not all(red.constancy.values()):
+    constancy = {nm: is_constant(ex, config) for nm, ex in red.I.items()}
+    if not all(constancy.values()):
         return ClassificationResult(
             group="contact", row="general",
             evidence=[f"case {red.case} reduction"
                       + ("" if wnz else " (W=0)")],
-            diagnostics={"constancy": red.constancy})
+            diagnostics={"constancy": constancy})
     tup = reduced_tuple(ode, config)
     vals = {nm: tup[nm] for nm in red.I}
     found = (_row_w_nonzero if wnz else _row_w0)(red.eps, vals)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as F3
-from typing import Optional
 
 from .expr import (DEFAULT_CONFIG, Expr, ZeroConfig, is_zero, normalize, num,
                    sign_on_domain, var)
@@ -246,7 +245,6 @@ def maxwell_matches_b(ode: Ode3, config: ZeroConfig = DEFAULT_CONFIG) -> bool:
 class LorentzResult:
     ok: bool
     sign: int = 0
-    scalar: Optional[Expr] = None
     reason: str = ""
 
 
@@ -266,9 +264,9 @@ def lorentz_check(ode: Ode3,
                           + F3(2, 3) * pd(ode.F, "q") * s)
     tv = is_zero(transport, config=config)
     if not tv.is_zero:
-        return LorentzResult(False, sign=sign, scalar=s,
+        return LorentzResult(False, sign=sign,
                              reason=f"weighted transport is {tv.status}")
-    return LorentzResult(True, sign=sign, scalar=s)
+    return LorentzResult(True, sign=sign)
 
 
 def normal_connection_forms(ode: Ode3) -> dict:

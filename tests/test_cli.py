@@ -398,6 +398,63 @@ class TestBatchAndReport:
         assert captured.out == ""
         assert "config error" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--seed", "abc", "--ode", "q"],
+        ["classify", "--group", "bogus", "--ode", "q"],
+        ["clasify", "--ode", "q"],
+        ["classify", "--batch", "BATCH", "--ode", "q"],
+        ["invariants", "--group", "point", "--ode", "q"],
+        ["classify", "--group", "fp", "--ode", "q"],
+        ["classify"],
+        ["report", "--ode", "q", "--batch", "BATCH"],
+        ["report", "--batch", "MISSING"],
+        ["report", "--batch", "DIR"],
+        ["report", "--batch", "NOT_UTF8"],
+    ], ids=lambda argv: "-".join(argv))
+    def test_bad_command_line_is_a_config_error(self, tmp_path, capsys,
+                                                argv):
+        # usage errors and unreadable batch files take the config-error
+        # path: one line on stderr, nothing run, exit 1 (argparse exits 2,
+        # the code of an inconclusive verdict)
+        (tmp_path / "batch.txt").write_text("q^2\n")
+        # a valid first line: the file is read whole before any line runs
+        (tmp_path / "bad.txt").write_bytes(b"q^2\n\xff\n")
+        paths = {"BATCH": tmp_path / "batch.txt",
+                 "NOT_UTF8": tmp_path / "bad.txt",
+                 "MISSING": tmp_path / "missing.txt", "DIR": tmp_path}
+        code = main([str(paths.get(a, a)) for a in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("flags, file_text, want", [
+        (["--box", "x:-1"], None, "box part 'x:-1' is not name:lo:hi"),
+        ([], "box = x:-1\n", "box part 'x:-1' is not name:lo:hi"),
+        (["--box", "x:a:1,y:-1:1,p:0.5:2,q:0.5:2"], None,
+         "box part 'x:a:1' is not name:lo:hi"),
+        ([], "seed = abc\n", "config key 'seed' must be int, got 'abc'"),
+        ([], "tol = tiny\n", "config key 'tol' must be float, got 'tiny'"),
+    ], ids=("flag-part", "file-part", "flag-bound", "file-seed", "file-tol"))
+    def test_bad_value_names_where_it_is(self, tmp_path, capsys, flags,
+                                         file_text, want):
+        if file_text is not None:
+            cfgfile = tmp_path / "cfg"
+            cfgfile.write_text(file_text)
+            flags = ["--config", str(cfgfile)]
+        assert main(["classify", "--ode", "q"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {want}")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["report", "-h"],
+                                      ["--version"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
     def test_unknown_config_key_is_named(self, tmp_path, capsys):
         # a typo is a config error, not a key ignored without a word
         cfgfile = tmp_path / "cfg"

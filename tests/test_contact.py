@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from ode3geom.classify import const_value
+from ode3geom.classify import const_value, is_constant
 from ode3geom.contact import (CBRT6_OVER_3, NotApplicableError, contact_branch,
                               classify_contact, contact_projective_data,
                               invariants_5d, invariants_reduced,
                               linearizable_contact)
-from ode3geom.expr import DEFAULT_CONFIG, is_zero, normalize, parse, partial
-from ode3geom.jet import Ode3, WunschmannZeroError
+from ode3geom.expr import (DEFAULT_CONFIG, is_zero, normalize, parse, partial,
+                           sign_on_domain)
+from ode3geom.jet import Ode3, WunschmannZeroError, jet_invariants, pd
 
 CFG_VIII = replace(DEFAULT_CONFIG,
                    box={"x": (-1, 1), "y": (0.8, 1.0),
@@ -48,7 +49,6 @@ class TestInvariants5d:
 
     def test_linear_discriminant_vanishes(self):
         # 2 W_q^2 - 3 W W_qq = 0 for constant-coefficient linear members
-        from ode3geom.jet import jet_invariants, pd
         W = jet_invariants(Ode3.from_text("-2*3*p + y")).W
         disc = 2 * pd(W, "q") ** 2 - 3 * W * pd(W, "q", "q")
         assert is_zero(disc).is_zero
@@ -70,8 +70,11 @@ class TestInvariantsReduced:
         assert red.case == 1
         assert red.eps == -1
         assert abs(const_value(red.I["I1"]) + 2) < 1e-9
-        assert all(red.constancy.values())
-        assert red.diagnostics["eps1_sign_formula"] == -1
+        assert all(is_constant(ex) for ex in red.I.values())
+        # the closed form 2 W_q^2 - 3 W W_qq has the sign of epsilon_1
+        W = jet_invariants(Ode3.from_text("exp(q)")).W
+        eps1 = 2 * pd(W, "q") ** 2 - 3 * W * pd(W, "q", "q")
+        assert sign_on_domain(eps1) == red.eps
 
     def test_solved_system_on_row_vi(self):
         # the undisplayed slot a equals I1 * I2 under is_zero
@@ -98,12 +101,16 @@ class TestInvariantsReduced:
         assert abs(const_value(red.I["I7"]) - CBRT6_OVER_3) < 1e-9
 
     def test_eps2_variants_reported(self):
-        red = invariants_reduced(Ode3.from_text("q^(3/2)"))
-        assert "eps2_sign_squared" in red.diagnostics
-        assert "eps2_sign_cubed_variant" in red.diagnostics
-        # K_qqq = 0 for q^(3/2): both exponent readings agree
-        assert red.diagnostics["eps2_sign_squared"] == \
-            red.diagnostics["eps2_sign_cubed_variant"] == -1
+        # 2 L_qq F_qqqq - 3 K_qqq^n has the sign of epsilon_2 for n = 2 and
+        # n = 3: K_qqq = 0 for q^(3/2), so both exponent readings agree
+        ode = Ode3.from_text("q^(3/2)")
+        red = invariants_reduced(ode)
+        inv = jet_invariants(ode)
+        Lqq, Kqqq = pd(inv.L, "q", "q"), pd(inv.K, "q", "q", "q")
+        Fq4 = pd(ode.F, "q", "q", "q", "q")
+        for n in (2, 3):
+            assert sign_on_domain(2 * Lqq * Fq4 - 3 * Kqqq ** n) == red.eps
+        assert red.eps == -1
 
     def test_trivial_flat_refuses(self):
         with pytest.raises(NotApplicableError):
