@@ -256,15 +256,23 @@ def _lower(e: Expr) -> RF:
             out = out + t.rf
         return out
     if k == MUL:
-        out = RF_ONE
-        for f in e.args:
-            out = out * f.rf
-        return out
+        return times_factors(RF_ONE, e)
     if k == POW:
         return _p.rf_pow(e.args[0].rf, e.data)
     if k == FUN:
         return _p.rf_kernel(e.data, e.args[0].rf)
     raise AssertionError(k)
+
+
+def times_factors(rf: RF, e: Expr) -> RF:
+    """rf times e's factors in a product, in order.  A factor b^-1 divides
+    by b, so denominator factors shared with rf cancel by key."""
+    for f in e.args if e.kind == MUL else (e,):
+        if f.kind == POW and f.data == -1:
+            rf = rf / f.args[0].rf
+        else:
+            rf = rf * f.rf
+    return rf
 
 
 def from_rf(rf: RF) -> Expr:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from .expr import (DEFAULT_CONFIG, JET_VARS, Expr, ZeroConfig, from_rf,
-                   is_zero, normalize, num, partial, pow_)
-from .expr.nodes import MUL, RF, RF_ONE
+                   is_zero, normalize, num, partial)
+from .expr.nodes import RF_ONE, times_factors
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 PAIR_INDEX = {pq: i for i, pq in enumerate(PAIRS)}
@@ -127,13 +127,6 @@ class Coframe:
         return [wedge(self.theta[j], self.theta[k]) for j, k in PAIRS]
 
 
-def _times(rf: RF, e: Expr) -> RF:
-    """rf times e's factors in a product, in the order lowering takes."""
-    for f in e.args if e.kind == MUL else (e,):
-        rf = rf * f.rf
-    return rf
-
-
 _MINUS_ONE = RF_ONE * num(-1).rf    # a product's leading -1, lowered
 
 
@@ -146,11 +139,11 @@ def _solve_linear_multi(mat: List[List[Expr]], rhss: List[List[Expr]],
     small ones verified nonzero on the domain, so that no division by an
     expression vanishing somewhere on the box occurs.  An update is the
     RF that the tree old - (f/piv)*x lowers to, term for term, with
-    -1*f*piv^-1 built once per row and piv^-1 once per pivot.
+    -1*f/piv built once per row by dividing by the pivot's own RF.
     """
     n, k = len(mat), len(rhss)
     rows = [list(mat[i]) + [rhss[j][i] for j in range(k)] for i in range(n)]
-    invs = []
+    pivs = []
     for col in range(n):
         pivot_row = best = best_size = None
         for r in range(col, n):
@@ -170,20 +163,20 @@ def _solve_linear_multi(mat: List[List[Expr]], rhss: List[List[Expr]],
             raise DegenerateCoframeError(
                 "coframe degenerate on the sample domain")
         rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        invs.append(pow_(rows[col][col], -1).rf)
+        pivs.append(rows[col][col].rf)
         for r in range(n):
             if r == col:
                 continue
             f = rows[r][col]
             if f.rf.is_zero_poly():
                 continue
-            m = _times(_MINUS_ONE, f) * invs[col]
+            m = times_factors(_MINUS_ONE, f) / pivs[col]
             for c2 in range(col + 1, n + k):
                 x = rows[col][c2]
                 if not x.rf.is_zero_poly():
-                    rows[r][c2] = from_rf(rows[r][c2].rf + _times(m, x))
+                    rows[r][c2] = from_rf(rows[r][c2].rf + times_factors(m, x))
             rows[r][col] = _ZERO
-    return [[from_rf(_times(RF_ONE, rows[i][n + j]) * invs[i])
+    return [[from_rf(times_factors(RF_ONE, rows[i][n + j]) / pivs[i])
              for i in range(n)] for j in range(k)]
 
 

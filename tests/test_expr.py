@@ -184,6 +184,31 @@ class TestNormalize:
             math.sqrt(n / 10000000000037), rel=1e-12)
 
 
+class TestQuotientLowering:
+    """A product's factor b^-1 lowers as RF division by b."""
+
+    def test_shared_denominator_cancels_by_key(self, monkeypatch):
+        # multiplying by 1/b would expand 1 + p^2 into the numerator and
+        # divide it out again
+        x, y = var("x"), var("y")
+        a, b = x / (1 + P * P), y / (1 + P * P)
+        want = a.rf / b.rf
+        divisions = _count_calls(monkeypatch, "poly_div_exact")
+        got = normalize(a / b).rf
+        assert divisions == []
+        assert (got.c, tuple(got.num.items()), got.den) == \
+            (want.c, tuple(want.num.items()), want.den)
+
+    @pytest.mark.parametrize("build", [
+        lambda: var("x") / (var("y") - var("y")),
+        lambda: parse("x/(y-y)"),
+        lambda: parse("1/0")], ids=["tree", "parsed", "constant"])
+    def test_division_by_zero_is_rejected_when_built(self, build):
+        with pytest.raises(ZeroDivisionError,
+                           match="division by symbolically zero expression"):
+            normalize(build())
+
+
 class TestEval:
     def test_basic(self):
         assert eval_at(parse("3*q^2/p"), JetPoint(0, 0, 2, 4)) == 24.0

@@ -1,7 +1,10 @@
-"""Golden `report --json` bytes of the table representatives.
+"""Golden `report --json` bytes of the table representatives, and golden
+`chazy --json --transform` bytes of two Chazy pullbacks.
 
-Each file under tests/golden/ is the output of one cold
-`ode3geom report --json --ode F [--box B]` at the default seed 42.  A change
+Each report file under tests/golden/ is the output of one cold
+`ode3geom report --json --ode F [--box B]` at the default seed 42, and each
+Chazy file that of one cold
+`ode3geom chazy --json --transform --base 0,1,0,0 --ode F`.  A change
 that only makes the program faster must reproduce every byte, verdicts and
 printed symbolic strings alike; regenerate a file only together with a
 change that means to alter the report.
@@ -37,14 +40,22 @@ CASES = [
     ("point_I1", "3*q^2/p", None),
 ]
 
+# (file stem, F): Chazy classes II and V pulled back by transform 0 of
+# random_fp_transforms(13, 8); both F carry the quotient /(x - 2)
+CHAZY_CASES = [
+    ("chazy_II_fp", "(x*y*p - x*y*q - x*p^2 + 1/4*x^2*y*q + 1/4*x^2*p^2"
+                    " - 2*y*p + y*q + 1/4*y^2 + p^2 - 3*q)/(x - 2)"),
+    ("chazy_V_fp", "(3/2*x*y*p - x*y*q - 3/8*x*y^2*p + 1/8*x*y^3 - 2*x*p^2"
+                   " + 1/4*x^2*y*q + 3/16*x^2*y^2*p - 1/32*x^2*y^3"
+                   " + 1/2*x^2*p^2 - 1/32*x^3*y^2*p - 3*y*p + y*q"
+                   " + 1/2*y^2 + 1/4*y^2*p - 1/8*y^3 + 2*p^2 - 3*q)/(x - 2)"),
+]
+
 _MAIN = "import sys; from ode3geom.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def cold_report(text: str, box, src: str) -> subprocess.CompletedProcess:
-    """`report --json` of F in a fresh interpreter importing from src."""
-    argv = ["report", "--json", "--ode", text]
-    if box is not None:
-        argv += ["--box", box]
+def cold_cli(argv: list, src: str) -> subprocess.CompletedProcess:
+    """The CLI run on argv in a fresh interpreter importing from src."""
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", _MAIN, *argv],
                           capture_output=True, env=env, timeout=120)
@@ -53,7 +64,18 @@ def cold_report(text: str, box, src: str) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("stem,text,box", CASES, ids=[c[0] for c in CASES])
 def test_report_bytes_match_golden(stem, text, box):
     src = str(Path(ode3geom.__file__).resolve().parent.parent)
-    proc = cold_report(text, box, src)
+    argv = ["report", "--json", "--ode", text]
+    proc = cold_cli(argv + (["--box", box] if box else []), src)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / f"{stem}.json").read_bytes()
+
+
+@pytest.mark.parametrize("stem,text", CHAZY_CASES,
+                         ids=[c[0] for c in CHAZY_CASES])
+def test_chazy_bytes_match_golden(stem, text):
+    src = str(Path(ode3geom.__file__).resolve().parent.parent)
+    proc = cold_cli(["chazy", "--json", "--transform", "--base", "0,1,0,0",
+                     "--ode", text], src)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / f"{stem}.json").read_bytes()
 

@@ -6,8 +6,9 @@ the product.  _make hands _cancel no negative exponent, and on such inputs
 its one cancellation pass returns term for term what the pairwise
 reduction returns; its integer images never reject a divisor.
 dpoly and drf return term for term what the Fraction-coefficient grouping
-and the chained quotient rule return.  Needs hypothesis; skipped without
-it."""
+and the chained quotient rule return.  A quotient lowered by RF division
+equals, in value, the dividend times the divisor's reciprocal.  Needs
+hypothesis; skipped without it."""
 from fractions import Fraction
 from unittest import mock
 
@@ -17,7 +18,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ode3geom.expr import poly  # noqa: E402
+from ode3geom.expr import (from_rf, is_zero, normalize, num,  # noqa: E402
+                           parse, poly, var)
 from test_expr import (cancelled_terms, chained_drf,  # noqa: E402
                        derivative_pair, grouped_dpoly, pairwise_cancel)
 
@@ -240,3 +242,38 @@ def test_derivatives_match_the_grouped_and_chained_oracles(rf, name):
     assert _terms(got) == _terms(want) and _content_free(got)
     got, want = derivative_pair(poly.dpoly, grouped_dpoly, rf.num, v)
     assert _terms(got) == _terms(want)
+
+
+# sums of rational monomials over a denominator factor, like the random
+# rationals of tests/test_forms.py; dividend and divisor share the factor
+SHARED = st.sampled_from(["1 + p^2", "x - 2", "y*q + 1", "exp(q) + p"])
+QUOTIENT_TERMS = st.lists(
+    st.tuples(COEFF, st.fixed_dictionaries({v: st.integers(0, 2)
+                                            for v in NAMES})),
+    min_size=1, max_size=3)
+
+
+def _over(terms, factor, k):
+    out = num(0)
+    for c, exps in terms:
+        mono = num(c)
+        for v, e in exps.items():
+            mono = mono * var(v) ** e
+        out = out + mono
+    return out / parse(factor) ** k
+
+
+@settings(max_examples=100, deadline=None)
+@given(QUOTIENT_TERMS, QUOTIENT_TERMS, SHARED, st.integers(1, 2),
+       st.integers(1, 2), st.one_of(st.none(), SHARED))
+def test_quotient_equals_dividend_times_reciprocal(a_terms, b_terms, shared,
+                                                   ka, kb, own):
+    a = _over(a_terms, shared, ka)
+    b = _over(b_terms, shared, kb)
+    if own is not None:
+        b = b / parse(own)
+    assume(not b.rf.is_zero_poly())
+    got = normalize(a / b).rf
+    want = a.rf * poly.rf_pow(b.rf, -1)
+    # the keys may differ: expanded powers are opaque denominator factors
+    assert is_zero(from_rf(got - want)).is_zero
