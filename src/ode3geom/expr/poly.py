@@ -21,13 +21,16 @@ quotient-rule term in one _make.
 Exact division and the multi-term product work on packed exponent vectors
 (_pack_plan): each monomial becomes one int, so a monomial product is one
 addition and a comparison in the division's lex order one int compare.
-_make cancels in one pass (_cancel): the numerator's integer images, taken
-once, screen each factor; one plan packs the numerator and every factor,
-and the numerator stays packed across hits.  What comes out is keyed by
-tuple monomials in the same order as pairwise division gives.  Fields hold
-the operands' exponents times 2 for a product and 2 * (_DIV_GUARD + 2) per
-possible hit for a pass, so none can overflow and nothing checks at run
-time.
+_make cancels in one pass (_cancel): the numerator's integer images screen
+each factor; one plan packs the numerator and every factor, and the
+numerator stays packed across hits.  The value image is a homomorphism, so
+a product's or a sum's comes from its operands' (RF._img); where _make
+rewrites the numerator first (a splice, the Laurent shift, the monomial
+content) and for dpoly's groups, _cancel takes it from the numerator.
+What comes out is keyed by tuple monomials in the same order as pairwise
+division gives.  Fields hold the operands' exponents times 2 for a product
+and 2 * (_DIV_GUARD + 2) per possible hit for a pass, so none can overflow
+and nothing checks at run time.
 """
 from __future__ import annotations
 
@@ -650,9 +653,11 @@ class RF:
     """c * num / product(f_i^e_i); num and the f_i primitive int polys.
 
     _made marks an RF that _make returned, or one rescaled from it by a
-    nonzero rational: _make returns it unchanged but for c (see __mul__)."""
+    nonzero rational: _make returns it unchanged but for c (see __mul__).
+    _img is num's value image (_id_image) once known, else None (see
+    _image)."""
 
-    __slots__ = ("c", "num", "den", "_key", "_hash", "_made")
+    __slots__ = ("c", "num", "den", "_key", "_hash", "_made", "_img")
 
     @staticmethod
     def _raw(c: Fraction, num: dict, den: tuple) -> "RF":
@@ -663,6 +668,7 @@ class RF:
         out._key = None
         out._hash = None
         out._made = False
+        out._img = None
         return out
 
     def key(self):
@@ -699,29 +705,35 @@ class RF:
             return other
         if not other.num:
             return self
+        n1, n2 = self.num, other.num
         if self.den == other.den or _den_key(self.den) == _den_key(other.den):
-            den = self.den
-            n1, n2 = self.num, other.num
+            den, co1, co2 = self.den, (), ()
         else:
             den, co1, co2 = _den_lcm(self.den, other.den)
-            n1 = self.num
             for _k, f, e in co1:
                 n1 = poly_mul(n1, poly_pow(f, e))
-            n2 = other.num
             for _k, f, e in co2:
                 n2 = poly_mul(n2, poly_pow(f, e))
+        # the value images of n1 and n2, or 0 (not known)
+        v1 = v2 = 0
+        if _imaged(den, self, other):
+            v1, v2 = _image(self), _image(other)
+            for _k, f, e in co1:
+                v1 = v1 and v1 * _id_image(f) ** e
+            for _k, f, e in co2:
+                v2 = v2 and v2 * _id_image(f) ** e
         c1, c2 = self.c, other.c
         if c1 == c2:
-            return _make(c1, poly_add(n1, n2), den)
+            return _make(c1, poly_add(n1, n2), den, v1 and v2 and v1 + v2)
         g = Fraction(math.gcd(c1.numerator, c2.numerator),
                      (c1.denominator * c2.denominator
                       // math.gcd(c1.denominator, c2.denominator)))
         if c1 < 0 and c2 < 0:
             g = -g
-        r1, r2 = c1 / g, c2 / g
-        s = poly_add(poly_scale(n1, r1.numerator) if r1 != 1 else n1,
-                     poly_scale(n2, r2.numerator) if r2 != 1 else n2)
-        return _make(g, s, den)
+        r1, r2 = (c1 / g).numerator, (c2 / g).numerator
+        s = poly_add(poly_scale(n1, r1) if r1 != 1 else n1,
+                     poly_scale(n2, r2) if r2 != 1 else n2)
+        return _make(g, s, den, v1 and v2 and r1 * v1 + r2 * v2)
 
     def __neg__(self) -> "RF":
         return _rescaled(-self.c, self)
@@ -741,8 +753,10 @@ class RF:
         if self._made and not other.den and len(other.num) == 1 \
                 and MONE in other.num:
             return _rescaled(self.c * other.c * other.num[MONE], self)
-        return _make(self.c * other.c, poly_mul(self.num, other.num),
-                     _den_mul(self.den, other.den))
+        den = _den_mul(self.den, other.den)
+        return _make(self.c * other.c, poly_mul(self.num, other.num), den,
+                     _image(self) * _image(other)
+                     if _imaged(den, self, other) else 0)
 
     def __truediv__(self, other: "RF") -> "RF":
         if other.is_zero_poly():
@@ -793,7 +807,25 @@ def _rescaled(c: Fraction, rf: RF) -> RF:
     rational."""
     out = RF._raw(c, rf.num, rf.den)
     out._made = rf._made
+    out._img = rf._img
     return out
+
+
+def _imaged(den: tuple, a: RF, b: RF) -> bool:
+    """Whether a result over den takes its value image from a's and b's:
+    _cancel screens num by it against den's multi-term factors, or one of
+    them is known already, so the other, smaller than the result, is all
+    that is left to take."""
+    return a._img is not None or b._img is not None \
+        or any(len(f) > 1 for _k, f, _e in den)
+
+
+def _image(rf: RF) -> int:
+    """rf.num's value image (_id_image), taken at most once per RF."""
+    v = rf._img
+    if v is None:
+        v = rf._img = _id_image(rf.num)
+    return v
 
 
 def _den_mul(d1: tuple, d2: tuple) -> tuple:
@@ -827,8 +859,10 @@ def _den_lcm(d1: tuple, d2: tuple) -> tuple:
 _CANCEL_NUM_CAP = 5000
 
 
-def _make(c: Fraction, num: dict, den: tuple) -> "RF":
-    """Normalise: splice composites, clear Laurent exponents, cancel."""
+def _make(c: Fraction, num: dict, den: tuple, v: int = 0) -> "RF":
+    """Normalise: splice composites, clear Laurent exponents, cancel.  v is
+    num's value image (_id_image) when the caller knows it, else 0; it is
+    dropped where num is rewritten before _cancel."""
     if not num or not c:
         return RF_ZERO
     if _needs_canon(num):
@@ -836,7 +870,7 @@ def _make(c: Fraction, num: dict, den: tuple) -> "RF":
         if rf.is_zero_poly():
             return RF_ZERO
         c = c * rf.c
-        num = rf.num
+        num, v = rf.num, 0
         den = _den_mul(den, rf.den)
     # clear negative exponents in the numerator
     worst: dict = {}
@@ -846,7 +880,7 @@ def _make(c: Fraction, num: dict, den: tuple) -> "RF":
                 worst[aid] = e
     if worst:
         shift = mono_from((aid, -e) for aid, e in worst.items())
-        num = poly_mul(num, {shift: 1})
+        num, v = poly_mul(num, {shift: 1}), 0
         den = _den_mul(den, tuple(
             (poly_key({((aid, _exp_norm(-e)),): 1}),
              {((aid, _exp_norm(-e)),): 1}, 1)
@@ -879,27 +913,33 @@ def _make(c: Fraction, num: dict, den: tuple) -> "RF":
                 fp = {((aid, ee),): 1}
                 out_den.append((poly_key(fp), fp, 1))
         if inv:
-            num = poly_mul(num, {mono_from(inv): 1})
+            num, v = poly_mul(num, {mono_from(inv): 1}), 0
     den = tuple(sorted(out_den))
     if den and len(num) <= _CANCEL_NUM_CAP and not poly_is_const(num):
-        num, den = _cancel(num, den)
+        image = [v]
+        num, den = _cancel(num, den, image)
+        v = image[0]
     cc, num = poly_primitive(num)
     out = RF._raw(c if cc == 1 else c * cc, num, den)
     out._made = True
+    if v:
+        out._img = v // cc.numerator
     return out
 
 
-def _cancel(num: dict, den: tuple) -> tuple:
+def _cancel(num: dict, den: tuple, image: Optional[list] = None) -> tuple:
     """(num, den) with each multi-term factor of den divided out of num as
     often as it divides it; a factor that does not divide num divides no
     quotient num/g either, so one pass suffices unless a division was cut
     off by the step guard and others divided num.  With int coefficients
     and primitive int factors, integer images (_id_image) screen each
-    factor: num's are taken once and divided by the factor's after a hit
-    (num's value image becomes 0 if the factor's is 0).  The first division
-    that passes packs num and all multi-term factors under one plan.  After
-    k hits no exponent exceeds k + 1 times the plan's largest (the Newton
-    polytopes of the quotient and the divisors sum to num's)."""
+    factor: num's value image comes from image = [v] when v is not 0, else
+    it is taken from num at most once; after a hit num's images are
+    divided by the factor's (the value image becomes 0 if the factor's is
+    0), and image[0] is left as the returned num's, or 0.  The first
+    division that passes packs num and all multi-term factors under one
+    plan.  After k hits no exponent exceeds k + 1 times the plan's largest
+    (the Newton polytopes of the quotient and the divisors sum to num's)."""
     fs = {k: f for k, f, _e in den if len(f) > 1}
     if not fs:
         return num, den
@@ -907,7 +947,8 @@ def _cancel(num: dict, den: tuple) -> tuple:
                for c in p.values()) \
         and all(math.gcd(*f.values()) == 1 for f in fs.values())
     images = {k: [sum(f.values()), None] for k, f in fs.items() if ints}
-    s, v = sum(num.values()), None      # num's images; v not yet taken
+    s = sum(num.values())               # num's images; v None: not taken
+    v = (image and image[0]) or None
     cur = plan = None                   # num packed, once a division runs
     undecided = hit = False
     new_den = []
@@ -941,12 +982,14 @@ def _cancel(num: dict, den: tuple) -> tuple:
             cur, e, hit = q, e - 1, True
             if img:
                 s = s // sf if sf else sum(cur.values())
-                v = v // vf if vf else 0
+            v = v // vf if img and vf else 0
         if e:
             new_den.append((k, f, e))
     if hit:
         num, den = {unpack(x): c for x, c in cur.items()}, tuple(new_den)
-    return _cancel(num, den) if undecided and hit else (num, den)
+    if image is not None:
+        image[0] = v or 0
+    return _cancel(num, den, image) if undecided and hit else (num, den)
 
 
 RF_ZERO = RF._raw(Fraction(0), {}, ())
@@ -1295,6 +1338,7 @@ def drf(rf: RF, v: int) -> RF:
         inv_den = RF._raw(Fraction(1), dict(P_ONE), rf.den)
         out = dn * inv_den
         num_rf = RF._raw(Fraction(1), rf.num, ())
+        num_rf._img = rf._img           # the same numerator
         for k, f, e in rf.den:
             dfac = dpoly(f, v)
             if dfac.is_zero_poly():

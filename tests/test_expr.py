@@ -732,6 +732,22 @@ class TestImageRejects:
         assert (vb, va) == (n - 2, n * n + 1) and va % vb == 5
         assert packs == [] and divisions == []
 
+    def test_product_takes_its_image_from_the_factors(self, monkeypatch):
+        # x * (q^2 + 1)/(q - 2): _make took q^2 + 1's value image when it
+        # screened q - 2 out, so the product's is x's times that one, and
+        # still rejects the miss before anything is packed
+        a = poly._make(Fraction(1), _poly((1, {"q": 2}), (1, {})),
+                       _den((_poly((1, {"q": 1}), (-2, {})), 1)))
+        x = poly.rf_var("x")
+        packs = _count_calls(monkeypatch, "_pack_plan")
+        divisions = _division_outcomes(monkeypatch)
+        images = _count_calls(monkeypatch, "_id_image")
+        got = a * x
+        assert got.den == a.den and got.num == poly.poly_mul(a.num, x.num)
+        assert all(arg != got.num for arg, in images)
+        assert packs == [] and divisions == []
+        assert got._img == poly._id_image(got.num) == _X_AT_POINT * a._img
+
     @pytest.mark.parametrize("q, b, r, screened", [
         # Fraction coefficients: not an integer division, not screened
         (_poly((HALF, {"q": 1}), (1, {})), _poly((1, {"q": 1}), (1, {})),
@@ -779,15 +795,22 @@ class TestImageRejects:
                                   c2=0.0)
         t = transform.random_fp_transforms(13, 8)[0]
         cancel = poly._cancel
-        calls = _count_calls(monkeypatch, "_cancel")
+        calls = []              # num, den and the image _make hands over
+
+        def recorded(num, den, image=None):
+            calls.append((num, den, image and list(image)))
+            return cancel(num, den, image)
+        monkeypatch.setattr(poly, "_cancel", recorded)
         pb = transform.pullback_ode(chazy_class("II").canonical_ode(), t, cfg)
         cli.report_chazy(pb, cfg, args)
 
         divisions = _division_outcomes(monkeypatch)
-        pairwise = [cancelled_terms(pairwise_cancel(*c)) for c in calls]
+        pairwise = [cancelled_terms(pairwise_cancel(n, d))
+                    for n, d, _v in calls]
         by_pairs = list(divisions)
         divisions.clear()
-        assert [cancelled_terms(cancel(*c)) for c in calls] == pairwise
+        assert [cancelled_terms(cancel(n, d, v and list(v)))
+                for n, d, v in calls] == pairwise
         assert divisions.count("hit") == by_pairs.count("hit")
         misses = by_pairs.count(None)
         assert len(calls) > 100 and misses > 50
@@ -844,10 +867,10 @@ def _makes_from(monkeypatch, caller):
     seen = []
     real = poly._make
 
-    def spy(c, num, den):
+    def spy(c, num, den, v=0):
         if sys._getframe(1).f_code.co_name == caller:
             seen.append((c, num, den))
-        return real(c, num, den)
+        return real(c, num, den, v)
     monkeypatch.setattr(poly, "_make", spy)
     return seen
 

@@ -1,5 +1,6 @@
-"""Golden `report --json` bytes of the table representatives, and golden
-`chazy --json --transform` bytes of two Chazy pullbacks.
+"""Golden `report --json` bytes of the table representatives and of one
+large point pullback, and golden `chazy --json --transform` bytes of two
+Chazy pullbacks.
 
 Each report file under tests/golden/ is the output of one cold
 `ode3geom report --json --ode F [--box B]` at the default seed 42, and each
@@ -51,6 +52,24 @@ CHAZY_CASES = [
                    " + 1/2*y^2 + 1/4*y^2*p - 1/8*y^3 + 2*p^2 - 3*q)/(x - 2)"),
 ]
 
+# exp(q) pulled back by the point transform below: row VI in both groups.
+# Its K and W are built from large rational functions, so the sampled
+# I1-I4 and I1p-I4p digits pin the order of their numerator terms.
+PULLBACK_ARGV = ["--ode", "exp(q)", "--chi", "x - 1/4*x^2",
+                 "--phi", "y - 1/2*y"]
+PULLBACK_F = (
+    "((-36)*x*p + (-96)*x*q + 256*x*exp((2*x*q + (-2)*p + (-4)*q)"
+    "*((-2) + x)^(-3)) + 18*x^2*p + 72*x^2*q + (-448)*x^2*exp((2*x*q"
+    " + (-2)*p + (-4)*q)*((-2) + x)^(-3)) + (-3)*x^3*p + (-24)*x^3*q"
+    " + 448*x^3*exp((2*x*q + (-2)*p + (-4)*q)*((-2) + x)^(-3)) + 3*x^4*q"
+    " + (-280)*x^4*exp((2*x*q + (-2)*p + (-4)*q)*((-2) + x)^(-3))"
+    " + 112*x^5*exp((2*x*q + (-2)*p + (-4)*q)*((-2) + x)^(-3))"
+    " + (-28)*x^6*exp((2*x*q + (-2)*p + (-4)*q)*((-2) + x)^(-3))"
+    " + 4*x^7*exp((2*x*q + (-2)*p + (-4)*q)*((-2) + x)^(-3))"
+    " + (-1/4)*x^8*exp((2*x*q + (-2)*p + (-4)*q)*((-2) + x)^(-3))"
+    " + 24*p + 48*q + (-64)*exp((2*x*q + (-2)*p + (-4)*q)*((-2) + x)^(-3)))"
+    "*((-32) + 80*x + (-80)*x^2 + 40*x^3 + (-10)*x^4 + x^5)^(-1)")
+
 _MAIN = "import sys; from ode3geom.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -78,6 +97,16 @@ def test_chazy_bytes_match_golden(stem, text):
                      "--ode", text], src)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / f"{stem}.json").read_bytes()
+
+
+def test_pullback_report_bytes_match_golden():
+    src = str(Path(ode3geom.__file__).resolve().parent.parent)
+    made = cold_cli(["pullback", *PULLBACK_ARGV], src)
+    assert made.returncode == 0, made.stderr.decode()
+    assert made.stdout.decode().strip() == PULLBACK_F
+    proc = cold_cli(["report", "--json", "--ode", PULLBACK_F], src)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / "pullback_exp_q.json").read_bytes()
 
 
 # Runs the 14 reports in one fresh interpreter, records every RF that _make

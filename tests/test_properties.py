@@ -4,7 +4,9 @@ _make must be a fixed point of its own output, and a rational constant
 times such an output (which skips _make) must equal what _make builds from
 the product.  _make hands _cancel no negative exponent, and on such inputs
 its one cancellation pass returns term for term what the pairwise
-reduction returns; its integer images never reject a divisor.
+reduction returns; its integer images never reject a divisor.  The value
+image that a product or a sum hands _make is its numerator's and changes
+nothing that _make returns.
 dpoly and drf return term for term what the Fraction-coefficient grouping
 and the chained quotient rule return.  A quotient lowered by RF division
 equals, in value, the dividend times the divisor's reciprocal.  Needs
@@ -120,9 +122,9 @@ def test_cancel_gets_no_negative_exponent(a, b, c, d):
     seen = []
     inner = poly._cancel
 
-    def spy(num, den):
+    def spy(num, den, image=None):
         seen.append((num, *(f for _k, f, _e in den)))
-        return inner(num, den)
+        return inner(num, den, image)
     with mock.patch.object(poly, "_cancel", spy):
         A, B, C, D = map(_rf, (a, b, c, d))
         if not (B.is_zero_poly() or (B + C).is_zero_poly()
@@ -177,6 +179,68 @@ def test_cancel_pass_matches_pairwise_reduction(factors, cofactor, shared,
     finally:
         poly._DIV_GUARD = saved
     assert got == want
+
+
+# an RF over some of a few multi-term factors, each of which it may also
+# hold in its numerator: two such RFs share factors or not.  A polynomial
+# has int exponents, which have a value image, or also fractional or
+# negative ones.  A numerator may hold sgn(q - 1), which _make splices
+# out of a product that holds it twice
+INT_ONLY = st.sampled_from([0, 0, 1, 2])
+IMAGE_FACTOR = st.one_of(_terms_with(INT_ONLY, 2, 3),
+                         _terms_with(NONNEG, 2, 3))
+IMAGE_RF = st.tuples(st.one_of(_terms_with(INT_ONLY, 1, 3),
+                               _terms_with(st.sampled_from(
+                                   [0, 0, 1, 2, -1, Fraction(1, 2)]), 1, 3)),
+                     st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2)),
+                              max_size=2),
+                     st.lists(st.integers(0, 2), max_size=2), st.booleans(),
+                     st.booleans())
+
+
+def _image_rf(draw, factors) -> poly.RF:
+    """The drawn RF, made by _make; with forget, a copy whose image is not
+    known."""
+    terms, den_picks, num_picks, signed, forget = draw
+    num = _raw_poly(terms)
+    if signed:
+        sgn = poly.kern_atom("sgn", _rf([(1, {"q": 1}), (-1, {})]))
+        num = poly.poly_mul(num, {((sgn, 1),): 1})
+    for i in num_picks:
+        num = poly.poly_mul(num, factors[i % len(factors)])
+    den: dict = {}
+    for i, e in den_picks:
+        f = factors[i % len(factors)]
+        k = poly.poly_key(f)
+        den[k] = (k, f, den[k][2] + e if k in den else e)
+    rf = poly._make(Fraction(1), num, tuple(sorted(den.values())))
+    return poly.RF._raw(rf.c, rf.num, rf.den) if forget else rf
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(IMAGE_FACTOR, min_size=1, max_size=3), IMAGE_RF, IMAGE_RF)
+def test_products_and_sums_carry_their_numerator_images(factors, a, b):
+    """An image handed to _make is the numerator's, changes no result, and
+    the RF it makes keeps the image of its own numerator or none."""
+    fs = [f for terms in factors
+          if len(f := poly.poly_primitive(_raw_poly(terms) or {poly.MONE: 1})
+                 [1]) > 1]
+    assume(fs)
+    A, B = _image_rf(a, fs), _image_rf(b, fs)
+    handed = []
+    make = poly._make
+
+    def spy(c, num, den, v=0):
+        if v:
+            handed.append((c, num, den, v))
+        return make(c, num, den, v)
+    with mock.patch.object(poly, "_make", spy):
+        made = [A * B, A + B, A - B]
+    for rf in made:
+        assert not rf._img or rf._img == poly._id_image(rf.num)
+    for c, num, den, v in handed:
+        assert v == poly._id_image(num)
+        assert _terms(make(c, num, den, v)) == _terms(make(c, num, den))
 
 
 # jet polynomials with int exponents (dpoly's exponent path) or fractional
